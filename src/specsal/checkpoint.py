@@ -62,7 +62,10 @@ def load_checkpoint(path) -> dict:
     state = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", reader.take(2))
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8 ({err})") from err
         if name in state:
             raise CheckpointError(f"{path}: duplicate parameter {name!r}")
         (rank,) = struct.unpack("<B", reader.take(1))

@@ -273,7 +273,6 @@ def _cmd_eval(args) -> int:
 def _cmd_stats(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     counts = attribute_histogram(manifest)
     attribute_lines = ["attribute,count"] + [f"{name},{counts[name]}" for name in sorted(counts)]

@@ -83,6 +83,8 @@ def load_json_document(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -21,7 +21,6 @@ from .exceptions import (
     CubeMagicError,
     CubeTruncationError,
     DataError,
-    ShapeError,
 )
 from .imageio import write_bytes_atomic
 
@@ -132,23 +131,6 @@ def calibrate(raw: HsiCube, dark: HsiCube, white: HsiCube) -> HsiCube:
         raise CalibrationError(f"white <= dark at {bad} samples; calibration undefined")
     reflectance = np.clip((raw.data - dark.data) / denom, 0.0, REFLECTANCE_CEILING)
     return HsiCube(quantize_f32(reflectance), raw.wavelength_start_nm, raw.wavelength_step_nm)
-
-
-def band_interpolate_4to1(cube: HsiCube) -> HsiCube:
-    """Average non-overlapping groups of 4 adjacent bands into one.
-
-    The wavelength step scales by 4 and the start shifts to the center of the
-    first group. The global mean is preserved and per-pixel maxima never grow.
-    """
-    c = cube.bands
-    if c % 4 != 0:
-        raise ShapeError(f"band count {c} is not divisible by 4")
-    reduced = cube.data.reshape(c // 4, 4, cube.height, cube.width).mean(axis=1)
-    return HsiCube(
-        reduced,
-        cube.wavelength_start_nm + 1.5 * cube.wavelength_step_nm,
-        4.0 * cube.wavelength_step_nm,
-    )
 
 
 PSEUDO_COLOR_TARGETS_NM = (650.0, 550.0, 450.0)  # R, G, B

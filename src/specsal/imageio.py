@@ -1,4 +1,4 @@
-"""Binary PGM (grayscale) and PPM (color) read/write.
+"""Binary PGM (grayscale) read/write and PPM (color) write.
 
 Only the 8-bit binary variants (P5/P6, maxval 255) are supported; that covers
 masks, saliency maps, pseudo-color renderings, and the stats heatmap without
@@ -16,8 +16,9 @@ from .exceptions import MaskFormatError
 
 
 def write_bytes_atomic(path, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory (created if missing), then rename into place."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
@@ -27,9 +28,11 @@ def write_text_atomic(path, text: str) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
 
 
-def _parse_netpbm(payload: bytes, magic: bytes, channels: int, path) -> np.ndarray:
-    if not payload.startswith(magic):
-        raise MaskFormatError(f"{path}: expected {magic.decode()} image")
+def read_pgm(path) -> np.ndarray:
+    """Read a binary 8-bit PGM as a (H, W) uint8 array."""
+    payload = Path(path).read_bytes()
+    if not payload.startswith(b"P5"):
+        raise MaskFormatError(f"{path}: expected P5 image")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -54,19 +57,11 @@ def _parse_netpbm(payload: bytes, magic: bytes, channels: int, path) -> np.ndarr
         raise MaskFormatError(f"{path}: maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise MaskFormatError(f"{path}: bad dimensions {width}x{height}")
-    need = width * height * channels
+    need = width * height
     data = payload[pos : pos + need]
     if len(data) < need:
         raise MaskFormatError(f"{path}: payload has {len(data)} bytes, needs {need}")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, channels).copy()
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM as a (H, W) uint8 array."""
-    return _parse_netpbm(Path(path).read_bytes(), b"P5", 1, path)
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
 
 
 def write_pgm(values: np.ndarray, path) -> None:
@@ -76,11 +71,6 @@ def write_pgm(values: np.ndarray, path) -> None:
     h, w = values.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     write_bytes_atomic(path, header + values.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary 8-bit PPM as a (H, W, 3) uint8 array."""
-    return _parse_netpbm(Path(path).read_bytes(), b"P6", 3, path)
 
 
 def write_ppm(values: np.ndarray, path) -> None:

@@ -91,8 +91,8 @@ _ENTRY_KEYS = {"id", "cube", "mask", "split", "attributes"}
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or set(doc) != {"entries"}:
         raise ManifestError(f"{path}: top level must be exactly {{\"entries\": [...]}}")

@@ -154,20 +154,22 @@ def evaluate_pair(pred, gt) -> MetricReport:
     _validated(pred, gt)  # shared domain errors surface before any metric
     values = {}
     errors = []
+    # precision_recall yields two columns from one thresholding pass.
     metric_functions = {
-        "mae": mae,
-        "pre": lambda p, g: precision_recall(p, g)[0],
-        "rec": lambda p, g: precision_recall(p, g)[1],
-        "avg_f1": average_f1,
-        "auc": roc_auc,
-        "cc": pearson_cc,
+        ("mae",): mae,
+        ("pre", "rec"): precision_recall,
+        ("avg_f1",): average_f1,
+        ("auc",): roc_auc,
+        ("cc",): pearson_cc,
     }
-    for name, metric in metric_functions.items():
+    for names, metric in metric_functions.items():
         try:
-            values[name] = metric(pred, gt)
+            result = metric(pred, gt)
         except MetricInputError as err:
-            values[name] = None
-            errors.append(f"{name}: {err}")
+            values.update(dict.fromkeys(names))
+            errors.extend(f"{name}: {err}" for name in names)
+            continue
+        values.update(zip(names, result if len(names) > 1 else (result,)))
     return MetricReport(errors=tuple(errors), **values)
 
 

@@ -58,7 +58,6 @@ class Conv2d(Module):
         out_channels: int,
         kernel_size,
         stride: int = 1,
-        padding=None,
         depthwise: bool = False,
         bias: bool = True,
     ):
@@ -72,14 +71,13 @@ class Conv2d(Module):
             shape = (out_channels, in_channels, kh, kw)
             fan_in = in_channels * kh * kw
         self.stride = stride
-        self.padding = (kh // 2, kw // 2) if padding is None else padding
         self.depthwise = depthwise
         self.out_channels = out_channels
         self.weight = Parameter(uniform_init(rng, shape, fan_in), "weight")
         self.bias = Parameter(np.zeros(out_channels), "bias") if bias else None
 
     def __call__(self, x) -> Tensor:
-        y = T.conv2d(x, self.weight, self.stride, self.padding, self.depthwise)
+        y = T.conv2d(x, self.weight, self.stride, depthwise=self.depthwise)
         if self.bias is not None:
             y = T.add(y, T.reshape(self.bias, (self.out_channels, 1, 1)))
         return y
@@ -123,12 +121,23 @@ class ChannelNorm(Module):
         return T.channel_norm(x, self.gain, self.bias, self.eps)
 
 
-class ConvNormRelu(Module):
-    """conv -> channel_norm -> relu, the default unit in backbone/decoder paths."""
+class ConvNorm(Module):
+    """conv -> channel_norm, for pre-sum branch outputs.
+
+    The conv has no bias: channel_norm subtracts each channel's mean, which
+    cancels any per-channel constant added in front of it.
+    """
 
     def __init__(self, rng, in_channels, out_channels, kernel_size, stride=1):
-        self.conv = Conv2d(rng, in_channels, out_channels, kernel_size, stride)
+        self.conv = Conv2d(rng, in_channels, out_channels, kernel_size, stride, bias=False)
         self.norm = ChannelNorm(out_channels)
 
     def __call__(self, x) -> Tensor:
-        return T.relu(self.norm(self.conv(x)))
+        return self.norm(self.conv(x))
+
+
+class ConvNormRelu(ConvNorm):
+    """conv -> channel_norm -> relu, the default unit in backbone/decoder paths."""
+
+    def __call__(self, x) -> Tensor:
+        return T.relu(super().__call__(x))

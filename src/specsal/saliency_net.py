@@ -19,19 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .exceptions import ConfigError, ShapeError
-from .nn import Conv2d, ConvNormRelu, ChannelNorm, Linear, Module
+from .nn import Conv2d, ConvNorm, ConvNormRelu, Linear, Module
 from .tensor import Tensor
-
-
-class ConvNorm(Module):
-    """conv -> channel_norm without the relu, for pre-sum branch outputs."""
-
-    def __init__(self, rng, in_channels, out_channels, kernel_size, stride=1):
-        self.conv = Conv2d(rng, in_channels, out_channels, kernel_size, stride)
-        self.norm = ChannelNorm(out_channels)
-
-    def __call__(self, x) -> Tensor:
-        return self.norm(self.conv(x))
 
 
 class ResidualBlock(Module):

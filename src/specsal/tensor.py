@@ -15,27 +15,12 @@ import math
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 from .exceptions import ShapeError
 
 _state = threading.local()
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype newly created tensors use (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported default dtype {dt}")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 class Tensor:
     """A dense array. Pure data; gradient bookkeeping lives on the Tape."""
@@ -43,7 +28,7 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or np.float64)
 
     @property
     def shape(self):
@@ -504,12 +489,12 @@ def matmul(a, b) -> Tensor:
 # spatial ops on (channels, height, width) maps
 
 
-def conv2d(x, kernel, stride: int = 1, padding=None, depthwise: bool = False) -> Tensor:
-    """2-d cross-correlation with zero padding.
+def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
+    """2-d cross-correlation with "same" zero padding (kh//2, kw//2).
 
     x is (C_in, H, W); kernel is (C_out, C_in, kh, kw), or (C, 1, kh, kw) with
-    depthwise=True for one kernel per channel. Kernel dims must be odd. Default
-    padding preserves the spatial size at stride 1.
+    depthwise=True for one kernel per channel. Kernel dims must be odd, so at
+    stride 1 the output keeps the input's spatial size.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3:
@@ -527,46 +512,34 @@ def conv2d(x, kernel, stride: int = 1, padding=None, depthwise: bool = False) ->
             )
     elif c_k != c_in:
         raise ShapeError(f"conv2d kernel expects {c_k} input channels, input has {c_in}")
-    if padding is None:
-        padding = (kh // 2, kw // 2)
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
     s = int(stride)
     if s < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    hp, wp = h + 2 * ph, w + 2 * pw
-    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
-    if ho < 1 or wo < 1:
+    if h < 1 or w < 1:
         raise ShapeError(f"conv2d output empty for input {x.shape}, kernel {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
 
     xd, kd = x.data, kernel.data
-    xp = np.zeros((c_in, hp, wp), dtype=xd.dtype)
+    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
     xp[:, ph : ph + h, pw : pw + w] = xd
-    out_d = np.zeros((c_out, ho, wo), dtype=xd.dtype)
-    # Accumulate one shifted view per kernel offset; k*k small matmuls.
-    for u in range(kh):
-        for v in range(kw):
-            window = xp[:, u : u + s * (ho - 1) + 1 : s, v : v + s * (wo - 1) + 1 : s]
-            if depthwise:
-                out_d += kd[:, 0, u, v][:, None, None] * window
-            else:
-                out_d += np.tensordot(kd[:, :, u, v], window, axes=([1], [0]))
-    out = Tensor(out_d)
+    # Every receptive field as a (C_in, H_out, W_out, kh, kw) view of xp. It
+    # copies nothing; each contraction below makes its own transient im2col.
+    window = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    ho, wo = window.shape[1:3]
+    # Subscripts: c input channel, o output channel, (h, w) output position,
+    # (u, v) kernel offset. A depthwise kernel maps channel c to channel c.
+    k_sub, y_sub = ("cuv", "chw") if depthwise else ("ocuv", "ohw")
+    km = kd[:, 0] if depthwise else kd
+    out = Tensor(np.einsum(f"chwuv,{k_sub}->{y_sub}", window, km, optimize=True))
 
     def back(g):
-        gk = np.zeros_like(kd)
+        gk = np.einsum(f"{y_sub},chwuv->{k_sub}", g, window, optimize=True)
+        cols = np.einsum(f"{k_sub},{y_sub}->cuvhw", km, g, optimize=True)
         gxp = np.zeros_like(xp)
         for u in range(kh):
             for v in range(kw):
-                rows = slice(u, u + s * (ho - 1) + 1, s)
-                cols = slice(v, v + s * (wo - 1) + 1, s)
-                window = xp[:, rows, cols]
-                if depthwise:
-                    gk[:, 0, u, v] = (g * window).sum(axis=(1, 2))
-                    gxp[:, rows, cols] += kd[:, 0, u, v][:, None, None] * g
-                else:
-                    gk[:, :, u, v] = np.tensordot(g, window, axes=([1, 2], [1, 2]))
-                    gxp[:, rows, cols] += np.tensordot(kd[:, :, u, v].T, g, axes=([1], [0]))
-        return gxp[:, ph : ph + h, pw : pw + w], gk
+                gxp[:, u : u + s * ho : s, v : v + s * wo : s] += cols[:, u, v]
+        return gxp[:, ph : ph + h, pw : pw + w], gk.reshape(kd.shape)
 
     _push(out, (x, kernel), back)
     return out

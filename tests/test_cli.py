@@ -310,3 +310,34 @@ def test_gradcheck_exits_zero_and_writes_report(tmp_path, capsys):
     for name, group in doc["groups"].items():
         assert name in out
         assert group["max_rel_error"] < 1e-4
+
+
+def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):
+    out = tmp_path / "pred" / "scene1.pgm"
+    assert main([
+        "infer", "--cube", str(workspace / "scene1.hsv2"),
+        "--checkpoint", str(workspace / "model.ckpt"),
+        "--out", str(out), "--float-out", str(tmp_path / "pred" / "scene1.f32"),
+    ]) == 0
+    assert read_pgm(out).shape == (32, 32)
+    assert read_float_map(tmp_path / "pred" / "scene1.f32").shape == (32, 32)
+
+
+@pytest.mark.parametrize("reader", ["manifest", "config", "checkpoint"])
+def test_non_utf8_input_exits_two(reader, tmp_path, workspace, capsys):
+    bad = tmp_path / "bad"
+    if reader == "checkpoint":
+        # magic, one record, then a 1-byte parameter name that is not UTF-8
+        bad.write_bytes(b"SSCK" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"\xff")
+    else:
+        bad.write_bytes(b'{"entries": ["\xff"]}')
+    infer = ["infer", "--cube", str(workspace / "scene1.hsv2"), "--out", str(tmp_path / "p.pgm")]
+    argv = {
+        "manifest": ["stats", "--manifest", str(bad), "--out-dir", str(tmp_path / "stats")],
+        "config": infer + ["--checkpoint", str(workspace / "model.ckpt"), "--config", str(bad)],
+        "checkpoint": infer + [
+            "--checkpoint", str(bad), "--config", str(workspace / "model.ckpt.json"),
+        ],
+    }[reader]
+    assert main(argv) == 2
+    assert "utf-8" in capsys.readouterr().err.lower()

@@ -1,13 +1,10 @@
-"""Cube format round trips, calibration, band grouping, pseudo-color."""
-
-import math
+"""Cube format round trips, calibration, pseudo-color."""
 
 import numpy as np
 import pytest
 
 from specsal.cube import (
     HsiCube,
-    band_interpolate_4to1,
     calibrate,
     pseudo_color,
     quantize_f32,
@@ -20,7 +17,6 @@ from specsal.exceptions import (
     CubeMagicError,
     CubeTruncationError,
     DataError,
-    ShapeError,
 )
 
 
@@ -149,34 +145,6 @@ def test_calibrate_errors():
         calibrate(raw, dark, white)
     with pytest.raises(CalibrationError):
         calibrate(raw, HsiCube(np.zeros((1, 2, 3)), 400.0, 3.0), white)
-
-
-def test_band_interpolate_group_means_and_wavelengths():
-    # 8 bands of constant planes 0..7: group means are 1.5 and 5.5.
-    data = np.stack([np.full((2, 2), float(b)) for b in range(8)])
-    cube = HsiCube(data, 400.0, 3.0)
-    out = band_interpolate_4to1(cube)
-    assert out.bands == 2
-    np.testing.assert_array_equal(out.data[0], np.full((2, 2), 1.5))
-    np.testing.assert_array_equal(out.data[1], np.full((2, 2), 5.5))
-    assert out.wavelength_step_nm == 12.0
-    assert out.wavelength_start_nm == 400.0 + 1.5 * 3.0
-
-
-def test_band_interpolate_preserves_global_mean_exactly():
-    rng = np.random.default_rng(2)
-    cube = random_cube(rng, 16, 7, 5)
-    out = band_interpolate_4to1(cube)
-    a = math.fsum(cube.data.ravel().tolist()) / cube.data.size
-    b = math.fsum(out.data.ravel().tolist()) / out.data.size
-    assert a == b
-    # per-pixel maxima never increase
-    assert (out.data.max(axis=0) <= cube.data.max(axis=0) + 0.0).all()
-
-
-def test_band_interpolate_rejects_non_multiple_of_four():
-    with pytest.raises(ShapeError):
-        band_interpolate_4to1(HsiCube(np.ones((6, 2, 2)), 400.0, 3.0))
 
 
 def test_pseudo_color_constant_cube_is_uniform_gray():

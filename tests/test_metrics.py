@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import specsal.metrics
 from specsal.exceptions import MetricInputError, ShapeError
 from specsal.metrics import (
     MetricReport,
@@ -229,6 +230,24 @@ def test_evaluate_pair_all_foreground_gt_flags_auc():
     report = evaluate_pair(np.full((2, 2), 0.5), np.ones((2, 2)))
     assert report.auc is None
     assert any(flag.startswith("auc:") for flag in report.errors)
+
+
+def test_evaluate_pair_thresholds_once_and_flags_both_columns(monkeypatch):
+    calls = []
+
+    def counted(pred, gt):
+        calls.append(1)
+        return precision_recall(pred, gt)
+
+    monkeypatch.setattr(specsal.metrics, "precision_recall", counted)
+    gt = np.zeros((4, 4))
+    gt[1:3, 1:3] = 1.0
+    assert evaluate_pair(gt, gt).pre == 1.0
+    assert len(calls) == 1
+
+    empty = evaluate_pair(np.full((4, 4), 0.5), np.zeros((4, 4)))
+    assert empty.pre is None and empty.rec is None
+    assert {"pre", "rec"} <= {flag.split(":")[0] for flag in empty.errors}
 
 
 def test_mean_report_skips_flagged_entries():

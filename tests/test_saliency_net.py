@@ -11,9 +11,11 @@ from specsal.model import (
     ModelConfig,
     SaliencyModel,
     default_model_config,
+    demo_model_config,
     group_bands,
     tiny_model_config,
 )
+from specsal.nn import ChannelNorm, Conv2d, Module
 from specsal.saliency_net import (
     BackboneConfig,
     CrossScaleFusion,
@@ -307,3 +309,25 @@ def test_parameter_names_unique_across_model():
     assert any(n.startswith("encoder.") for n in names)
     assert any(n.startswith("backbone.") for n in names)
     assert any(n.startswith("decoder.global_head") for n in names)
+
+
+def _modules(module):
+    yield module
+    for _, child in module._children():
+        if isinstance(child, Module):
+            yield from _modules(child)
+
+
+@pytest.mark.parametrize("config", [tiny_model_config, demo_model_config, default_model_config])
+def test_no_conv_feeding_a_channel_norm_has_a_bias(config):
+    # channel_norm subtracts each channel's mean, so such a bias is dead weight
+    model = SaliencyModel(np.random.default_rng(32), config())
+    units = [
+        [child for _, child in m._children()]
+        for m in _modules(model)
+        if any(isinstance(child, ChannelNorm) for _, child in m._children())
+    ]
+    assert units
+    for children in units:
+        convs = [child for child in children if isinstance(child, Conv2d)]
+        assert convs and all(conv.bias is None for conv in convs)

@@ -107,7 +107,7 @@ def test_conv2d_ones_overlap_counts():
     # in-bounds taps, 4 in corners, 6 on edges, 9 inside.
     x = Tensor(np.ones((1, 5, 5)))
     k = Tensor(np.ones((1, 1, 3, 3)))
-    out = T.conv2d(x, k, stride=1, padding=1).data[0]
+    out = T.conv2d(x, k, stride=1).data[0]
     expected = np.array(
         [
             [4.0, 6.0, 6.0, 6.0, 4.0],
@@ -126,7 +126,7 @@ def test_conv2d_identity_kernel_is_exact():
     k = np.zeros((3, 3, 3, 3))
     for c in range(3):
         k[c, c, 1, 1] = 1.0
-    out = T.conv2d(Tensor(x), Tensor(k), padding=1).data
+    out = T.conv2d(Tensor(x), Tensor(k)).data
     np.testing.assert_array_equal(out, x)
 
 
@@ -167,7 +167,7 @@ def test_conv2d_matches_bruteforce(cin, cout, kh, kw, stride, depthwise):
     kshape = (cout, 1, kh, kw) if depthwise else (cout, cin, kh, kw)
     k = rng.normal(size=kshape)
     ph, pw = kh // 2, kw // 2
-    got = T.conv2d(Tensor(x), Tensor(k), stride, (ph, pw), depthwise).data
+    got = T.conv2d(Tensor(x), Tensor(k), stride, depthwise=depthwise).data
     want = brute_conv2d(x, k, stride, ph, pw, depthwise)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
@@ -253,6 +253,18 @@ def test_channel_norm_standardizes_then_affines():
     # affine comes after standardization
     y3 = T.channel_norm(Tensor(x), Tensor(np.full(4, 2.0)), Tensor(np.full(4, 7.0))).data
     np.testing.assert_allclose(y3, 2.0 * y + 7.0, atol=1e-12)
+
+
+def test_channel_norm_cancels_per_channel_offsets():
+    # The reason a conv in front of channel_norm carries no bias: the mean
+    # subtraction removes any per-channel constant exactly, up to rounding.
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, 6, 5))
+    gain, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    offsets = np.array([3.0, -2.0, 0.5, 40.0])[:, None, None]
+    y = T.channel_norm(Tensor(x), gain, bias).data
+    shifted = T.channel_norm(Tensor(x + offsets), gain, bias).data
+    np.testing.assert_allclose(shifted, y, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +389,15 @@ PRIMITIVE_CASES = {
     "sum_axes": (lambda a: scalarize(T.mul(T.sum_over(a, (1,), True), a)), [(3, 4)]),
     "mean_axes": (lambda a: scalarize(T.mul(T.mean_over(a, (0,), True), a)), [(3, 4)]),
     "conv2d": (
-        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 1, 1), T.conv2d(x, k, 1, 1))),
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 1), T.conv2d(x, k, 1))),
         [(2, 5, 5), (3, 2, 3, 3)],
     ),
     "conv2d_stride2": (
-        lambda x, k: scalarize(T.conv2d(x, k, 2, 1)),
+        lambda x, k: scalarize(T.conv2d(x, k, 2)),
         [(2, 6, 6), (2, 2, 3, 3)],
     ),
     "conv2d_depthwise": (
-        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 1, 1, True), 2.0)),
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 1, depthwise=True), 2.0)),
         [(3, 4, 4), (3, 1, 3, 3)],
     ),
     "channel_conv1d": (

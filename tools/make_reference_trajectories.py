@@ -5,6 +5,10 @@ files bit-exactly, so any change to initialization order, optimizer math, or
 the loss graph shows up as a diff here. Floats are stored as hex strings to
 survive JSON round trips without rounding.
 
+Before overwriting a committed file, the tool prints the largest relative
+drift of each column from it, so a deliberate numeric change can report how
+far the trajectories moved.
+
 Run from the repository root:
 
     python3 tools/make_reference_trajectories.py
@@ -59,6 +63,27 @@ def reconstruction_demo_trajectory() -> dict:
     }
 
 
+def _columns(doc: dict) -> dict:
+    return doc["columns"] if "columns" in doc else {"loss": doc["loss"]}
+
+
+def largest_drift(old: dict, new: dict) -> dict:
+    """Per column, the largest |new - old| / |old| over all steps (None: lengths differ)."""
+    drift = {}
+    old_columns = _columns(old)
+    for name, values in _columns(new).items():
+        before = [float.fromhex(v) for v in old_columns.get(name, [])]
+        after = [float.fromhex(v) for v in values]
+        if len(before) != len(after):
+            drift[name] = None
+            continue
+        drift[name] = max(
+            (abs(a - b) / abs(b) if b else abs(a - b) for a, b in zip(after, before)),
+            default=0.0,
+        )
+    return drift
+
+
 def main() -> None:
     REFERENCE_DIR.mkdir(parents=True, exist_ok=True)
     for name, build in (
@@ -67,6 +92,13 @@ def main() -> None:
     ):
         doc = build()
         path = REFERENCE_DIR / f"{name}.json"
+        if path.exists():
+            drift = largest_drift(json.loads(path.read_text()), doc)
+            cells = ", ".join(
+                f"{column} {'length changed' if value is None else f'{value:.3g}'}"
+                for column, value in drift.items()
+            )
+            print(f"{name}: largest relative drift from the committed file: {cells}")
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
 
