@@ -138,7 +138,7 @@ def _cmd_infer(args) -> int:
             )
         config_path = sidecar
     config = _load_model_config(config_path)
-    model = SaliencyModel(np.random.default_rng(0), config)
+    model = SaliencyModel(None, config)  # every weight comes from the checkpoint
     apply_state(model, load_checkpoint(args.checkpoint))
     cube = read_cube(args.cube)
     saliency = model(cube.data).saliency_map()

@@ -106,9 +106,12 @@ class ModelOutput:
 
 
 class SaliencyModel(Module):
-    """End-to-end network; construction order fixes the rng draw sequence."""
+    """End-to-end network; construction order fixes the rng draw sequence.
 
-    def __init__(self, rng: np.random.Generator, config: ModelConfig):
+    rng=None builds zero weights, to be filled by checkpoint.apply_state.
+    """
+
+    def __init__(self, rng: np.random.Generator | None, config: ModelConfig):
         self.config = config
         self.encoder = SpectralEncoder(rng, config.encoder)
         self.backbone = HighResBackbone(

@@ -2,6 +2,8 @@
 
 Weights draw from uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) with a caller-owned
 numpy Generator, so a model built twice from the same seed is bit-identical.
+Without a Generator (rng=None) weights start at zero, which skips the draws for
+a model whose parameters a checkpoint is about to overwrite.
 Biases and norm offsets start at zero, norm gains and learnable scales at one.
 """
 
@@ -16,7 +18,9 @@ from .exceptions import ShapeError
 from .tensor import Parameter, Tensor
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    if rng is None:
+        return np.zeros(shape)
     bound = math.sqrt(1.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 

@@ -16,7 +16,6 @@ import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf, expit
 
 from .exceptions import ShapeError
 
@@ -318,6 +317,53 @@ def clip(a, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # activations
 
+# Rational approximations of erf from Cephes ndtr.c: x * T(x^2) / U(x^2) for
+# |x| <= 1 and erf = 1 - exp(-x^2) P(|x|) / Q(|x|) above. Coefficients run from
+# the highest power down; U and Q are monic. erf rounds to exactly +-1 from
+# |x| ~ 5.93 on, so |x| is clamped to 6 and Cephes' rational for |x| >= 8,
+# which only erfc needs, is left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    acc = x * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise erf of a float64 array, within 2 ulp of math.erf.
+
+    The small rational runs on every entry, with x clipped to [-1, 1] so that
+    it stays finite where |x| > 1; only those entries are then recomputed.
+    """
+    small = np.clip(x, -1.0, 1.0)  # NaN passes through and comes out NaN
+    with np.errstate(under="ignore"):  # x * x of tiny |x| underflows harmlessly
+        z = small * small
+        out = _horner(z, _ERF_T)
+        out *= small
+        out /= _horner(z, _ERF_U)
+    ax = np.abs(x)
+    large = ax > 1.0
+    a = np.minimum(ax[large], 6.0)
+    erfc = np.exp(-a * a)
+    erfc *= _horner(a, _ERFC_P)
+    erfc /= _horner(a, _ERFC_Q)
+    out[large] = np.copysign(1.0 - erfc, x[large])
+    return out
+
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
@@ -328,7 +374,10 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(expit(a.data))
+    # exp(-|x|) cannot overflow, and its underflow to 0 is the exact limit.
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(a.data))
+    out = Tensor(np.where(a.data >= 0.0, 1.0, e) / (1.0 + e))
     _push(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
     return out
 
@@ -336,7 +385,7 @@ def sigmoid(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _erf(a.data / math.sqrt(2.0)))
     out = Tensor(a.data * cdf)
 
     def back(g):

@@ -59,6 +59,23 @@ def test_model_round_trip_through_apply(tmp_path):
     np.testing.assert_array_equal(first, second)
 
 
+def test_rng_free_build_plus_apply_matches_rng_built_model(tmp_path):
+    path = tmp_path / "model.ckpt"
+    config = tiny_model_config()
+    save_checkpoint(model_state(SaliencyModel(np.random.default_rng(1), config)), path)
+    drawn = SaliencyModel(np.random.default_rng(99), config)
+    undrawn = SaliencyModel(None, config)
+    assert not any(p.value.data.any() for name, p in undrawn.named_parameters()
+                   if name.endswith("weight"))
+    for model in (drawn, undrawn):
+        apply_state(model, load_checkpoint(path))
+
+    cube = np.random.default_rng(2).random((config.encoder.bands, 8, 8))
+    got, want = undrawn(cube), drawn(cube)
+    np.testing.assert_array_equal(got.saliency.data, want.saliency.data)
+    np.testing.assert_array_equal(got.restored.data, want.restored.data)
+
+
 def test_save_rejects_bad_names(tmp_path):
     with pytest.raises(CheckpointError, match="name"):
         save_checkpoint([("", np.zeros(2))], tmp_path / "x.ckpt")

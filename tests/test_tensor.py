@@ -1,5 +1,7 @@
 """Tensor primitives: frozen hand values, brute-force oracles, finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,50 @@ def test_activations_at_zero():
     assert T.gelu(z).data.tolist() == [0.0, 0.0, 0.0]
     assert T.sigmoid(z).data.tolist() == [0.5, 0.5, 0.5]
     assert T.relu(Tensor([-2.0, 3.0])).data.tolist() == [0.0, 3.0]
+
+
+def _ulps_from_math_erf(values):
+    want = np.array([math.erf(v) for v in values])
+    return np.abs(T._erf(values) - want) / np.spacing(np.abs(want))
+
+
+def test_erf_within_two_ulp_of_math_erf():
+    tiny = np.geomspace(1e-300, 1e-3, 2001)
+    grid = np.concatenate([np.linspace(-12.0, 12.0, 48001), tiny, -tiny])
+    assert _ulps_from_math_erf(grid).max() <= 2.0
+    # short runs: those inside [-1, 1] have no |x| > 1 entry, the rest mix
+    for run in np.array_split(np.linspace(-3.0, 3.0, 6001), 60):
+        assert _ulps_from_math_erf(run).max() <= 2.0
+    # both sides of the rational switch (|x| = 1) and of Cephes' 8
+    edges = [e for c in (1.0, 8.0) for e in (np.nextafter(c, 0.0), c, np.nextafter(c, 9.0))]
+    edges = np.array(edges + [-e for e in edges])
+    assert _ulps_from_math_erf(edges).max() <= 2.0
+    for one in edges:
+        assert _ulps_from_math_erf(np.array([one])).max() <= 2.0
+
+
+def test_erf_signed_zero_infinities_and_nan():
+    zeros = T._erf(np.array([0.0, -0.0]))
+    assert zeros.tolist() == [0.0, 0.0]
+    assert np.signbit(zeros).tolist() == [False, True]
+    assert T._erf(np.array([np.inf, -np.inf, 2.0])).tolist() == [1.0, -1.0, math.erf(2.0)]
+    assert np.isnan(T._erf(np.array([np.nan, 0.5, 3.0]))).tolist() == [True, False, False]
+    assert np.isnan(T._erf(np.array([np.nan]))).all()
+
+
+def test_erf_and_sigmoid_raise_no_floating_point_error_at_extremes():
+    huge = np.geomspace(1e-300, 1e300, 601)
+    with np.errstate(all="raise"):
+        values = T._erf(np.concatenate([huge, -huge]))
+        ends = T.sigmoid(Tensor([-1000.0, 1000.0, -np.inf, np.inf])).data
+    assert values[[0, 600, -1]].tolist() == [math.erf(1e-300), 1.0, -1.0]
+    assert ends.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+
+def test_sigmoid_is_symmetric_within_one_ulp():
+    x = np.linspace(-40.0, 40.0, 8001)
+    total = T.sigmoid(Tensor(x)).data + T.sigmoid(Tensor(-x)).data
+    assert np.abs(total - 1.0).max() <= np.spacing(1.0)
 
 
 def test_channel_norm_standardizes_then_affines():
