@@ -8,6 +8,7 @@ precision; loading widens back to float64.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,45 +37,40 @@ def save_checkpoint(named_values, path) -> None:
     write_bytes_atomic(path, payload)
 
 
-class _Reader:
-    def __init__(self, payload: bytes, path):
-        self.payload = payload
-        self.path = path
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.payload):
-            raise CheckpointError(
-                f"{self.path}: truncated at byte {self.offset} (wanted {n} more)"
-            )
-        out = self.payload[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as handle:
         payload = handle.read()
-    reader = _Reader(payload, path)
-    if reader.take(4) != CHECKPOINT_MAGIC:
+    offset = 0
+
+    def claim(n: int) -> int:
+        """Advance past ``n`` bytes and return where they start."""
+        nonlocal offset
+        if offset + n > len(payload):
+            raise CheckpointError(f"{path}: truncated at byte {offset} (wanted {n} more)")
+        offset += n
+        return offset - n
+
+    claim(4)
+    if payload[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (count,) = struct.unpack("<I", reader.take(4))
+    (count,) = struct.unpack_from("<I", payload, claim(4))
     state = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", reader.take(2))
+        (name_len,) = struct.unpack_from("<H", payload, claim(2))
+        start = claim(name_len)
         try:
-            name = reader.take(name_len).decode("utf-8")
+            name = payload[start:offset].decode("utf-8")
         except UnicodeDecodeError as err:
             raise CheckpointError(f"{path}: parameter name is not UTF-8 ({err})") from err
         if name in state:
             raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        (rank,) = struct.unpack("<B", reader.take(1))
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = reader.take(4 * size)
-        state[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-    if reader.offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - reader.offset} trailing bytes")
+        (rank,) = struct.unpack_from("<B", payload, claim(1))
+        shape = struct.unpack_from(f"<{rank}I", payload, claim(4 * rank))
+        size = math.prod(shape)
+        values = np.frombuffer(payload, "<f4", size, claim(4 * size))
+        state[name] = values.reshape(shape).astype(np.float64)
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
     return state
 
 

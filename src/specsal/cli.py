@@ -205,7 +205,6 @@ def _cmd_train(args) -> int:
     )
 
     model = SaliencyModel(np.random.default_rng(config.seed), model_config)
-    model.assign_parameter_names()
     log = io.StringIO()
     reports = train_loop(
         model,
@@ -303,7 +302,6 @@ def _cmd_stats(args) -> int:
 def _cmd_gradcheck(args) -> int:
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(args.seed), config)
-    model.assign_parameter_names()
     jitter_parameters(model.parameters(), seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     cube = rng.random((config.encoder.bands, config.input_size, config.input_size))

@@ -1,79 +1,114 @@
-"""Strict dict round-tripping for configuration dataclasses.
+"""Strict decoding of every JSON document into its dataclass.
 
-Documents with unknown keys are rejected rather than silently ignored, so a
-typo in a JSON config file fails loudly instead of training with defaults.
-Value validation itself lives in the dataclasses' __post_init__ hooks; this
-module only handles the wire shape.
+Model and train configs, synthetic scene specs and dataset manifests all go
+through one decoder, ``from_dict``, driven by the dataclasses' type hints.
+Unknown keys, missing required keys and ill-typed values are rejected rather
+than silently ignored, so a typo in a JSON file fails loudly instead of
+running with defaults, and every malformed document raises its kind's
+``DataError`` subclass (the CLI exits 2). Value validation itself lives in the
+dataclasses' __post_init__ hooks; encoding is ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import types
+import typing
 from pathlib import Path
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DataError
 from .model import ModelConfig
-from .saliency_net import BackboneConfig, DecoderConfig
-from .spectral_attention import EncoderConfig
 from .training import TrainConfig
 
-_SECTIONS = {
-    "encoder": EncoderConfig,
-    "backbone": BackboneConfig,
-    "decoder": DecoderConfig,
-}
+
+@functools.cache
+def _schema(cls) -> tuple[dict, frozenset]:
+    """Field types and required field names of a dataclass, resolved once."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = frozenset(
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    return {f.name: hints[f.name] for f in fields}, required
 
 
-def _build(cls, doc: dict, context: str):
+def from_dict(cls, doc, context: str, error: type[DataError]):
+    """Decode a JSON value into dataclass ``cls``, raising ``error`` on any defect.
+
+    Nested dataclasses, ``X | None``, ``tuple[...]`` and ``list[X]`` fields
+    are decoded recursively; int, float and str leaves are type-checked (an int
+    passes where a float is declared, a bool never passes as a number).
+    ``DataError`` from ``__post_init__`` propagates unchanged; any other
+    TypeError, ValueError or OverflowError is re-raised as ``error`` naming
+    ``context``.
+    """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(doc).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - allowed)
+        raise error(f"{context}: expected an object, got {type(doc).__name__}")
+    hints, required = _schema(cls)
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown} (allowed: {sorted(allowed)})")
+        raise error(f"{context}: unknown keys {unknown} (allowed: {sorted(hints)})")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise error(f"{context}: missing keys {missing}")
+    kwargs = {
+        key: _decode(hints[key], value, f"{context}.{key}", error)
+        for key, value in doc.items()
+    }
     try:
-        return cls(**doc)
-    except TypeError as err:
-        raise ConfigError(f"{context}: {err}") from err
+        return cls(**kwargs)
+    except DataError:
+        raise
+    except (TypeError, ValueError, OverflowError) as err:
+        raise error(f"{context}: {err}") from err
+
+
+def _decode(hint, value, context: str, error: type[DataError]):
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value, context, error)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        if value is None:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _decode(inner, value, context, error)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{context}: expected an array, got {type(value).__name__}")
+        if origin is list or args[-1] is Ellipsis:
+            item_hints = args[:1] * len(value)
+        elif len(value) == len(args):
+            item_hints = args
+        else:
+            raise error(f"{context}: expected {len(args)} items, got {len(value)}")
+        return origin(
+            _decode(item, v, f"{context}[{i}]", error)
+            for i, (item, v) in enumerate(zip(item_hints, value))
+        )
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise error(f"{context}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
 
 
 def model_config_from_dict(doc: dict) -> ModelConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"model config: expected an object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - (set(_SECTIONS) | {"input_size"}))
-    if unknown:
-        raise ConfigError(f"model config: unknown keys {unknown}")
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        if section in doc:
-            kwargs[section] = _build(cls, doc[section], f"model config [{section}]")
-    if "input_size" in doc:
-        kwargs["input_size"] = doc["input_size"]
-    return ModelConfig(**kwargs)
+    return from_dict(ModelConfig, doc, "model config", ConfigError)
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "encoder": dataclasses.asdict(config.encoder),
-        "backbone": {
-            **dataclasses.asdict(config.backbone),
-            "widths": list(config.backbone.widths),
-        },
-        "decoder": dataclasses.asdict(config.decoder),
-        "input_size": config.input_size,
-    }
+    return dataclasses.asdict(config)
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
-    config = _build(TrainConfig, doc, "train config")
-    return config
+    return from_dict(TrainConfig, doc, "train config", ConfigError)
 
 
 def train_config_to_dict(config: TrainConfig) -> dict:
-    doc = dataclasses.asdict(config)
-    doc["level_weights"] = list(config.level_weights)
-    return doc
+    return dataclasses.asdict(config)
 
 
 def load_json_document(path) -> dict:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .configio import from_dict
 from .exceptions import ManifestError
 from .imageio import write_text_atomic
 from .masks import EmptyMaskError, centroid, foreground_scale, read_mask
@@ -36,7 +37,7 @@ class ManifestEntry:
     cube: str
     mask: str
     split: str
-    attributes: tuple = ()
+    attributes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
@@ -55,18 +56,12 @@ class ManifestEntry:
         self.attributes = attrs
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "cube": self.cube,
-            "mask": self.mask,
-            "split": self.split,
-            "attributes": list(self.attributes),
-        }
+        return asdict(self)
 
 
 @dataclass
 class DatasetManifest:
-    entries: list = field(default_factory=list)
+    entries: list[ManifestEntry]
 
     def __post_init__(self):
         ids = [e.id for e in self.entries]
@@ -85,37 +80,13 @@ class DatasetManifest:
         return len(self.entries)
 
 
-_ENTRY_KEYS = {"id", "cube", "mask", "split", "attributes"}
-
-
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or set(doc) != {"entries"}:
-        raise ManifestError(f"{path}: top level must be exactly {{\"entries\": [...]}}")
-    entries = []
-    for i, raw in enumerate(doc["entries"]):
-        if not isinstance(raw, dict):
-            raise ManifestError(f"{path}: entry {i} is not an object")
-        unknown = set(raw) - _ENTRY_KEYS
-        if unknown:
-            raise ManifestError(f"{path}: entry {i} has unknown keys {sorted(unknown)}")
-        missing = _ENTRY_KEYS - set(raw) - {"attributes"}
-        if missing:
-            raise ManifestError(f"{path}: entry {i} is missing keys {sorted(missing)}")
-        entries.append(
-            ManifestEntry(
-                id=raw["id"],
-                cube=raw["cube"],
-                mask=raw["mask"],
-                split=raw["split"],
-                attributes=tuple(raw.get("attributes", ())),
-            )
-        )
-    return DatasetManifest(entries)
+    return from_dict(DatasetManifest, doc, str(path), ManifestError)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

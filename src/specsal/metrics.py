@@ -8,7 +8,7 @@ errors into flagged absences so one bad metric cannot sink a whole run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +93,8 @@ def average_f1(pred, gt) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_values = values[order]
-    group_starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_values)) + 1, [len(values)])
-    )
-    for start, end in zip(group_starts[:-1], group_starts[1:]):
-        ranks[order[start:end]] = 0.5 * (start + 1 + end)
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def roc_auc(pred, gt) -> float:

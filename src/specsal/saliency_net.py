@@ -50,7 +50,7 @@ def resize_to(x, height: int, width: int) -> Tensor:
 class BackboneConfig:
     """Four-branch pyramid: widths per branch, stem stride, depth, fusion."""
 
-    widths: tuple = (8, 16, 32, 64)
+    widths: tuple[int, ...] = (8, 16, 32, 64)
     stem_stride: int = 2
     blocks_per_branch: int = 1
     fusion_stages: int = 1

@@ -14,10 +14,11 @@ diverge beyond the onset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .configio import from_dict
 from .cube import HsiCube, quantize_f32, REFLECTANCE_CEILING
 from .exceptions import SceneSpecError
 from .manifest import ATTRIBUTE_VOCABULARY
@@ -56,7 +57,7 @@ class SpectrumSpec:
 
     base: float = 0.4
     slope: float = 0.0
-    bumps: list = field(default_factory=list)
+    bumps: list[GaussianBump] = field(default_factory=list)
     step: NirStep | None = None
 
     def evaluate(self, wavelengths_nm: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ class ObjectSpec:
     """A disk or axis-aligned rectangle covering `scale` of the image area."""
 
     shape: str
-    center: tuple
+    center: tuple[float, float]
     scale: float
     spectrum: SpectrumSpec
     aspect: float = 1.0  # rect width/height ratio
@@ -102,10 +103,10 @@ class SceneSpec:
     wavelength_start_nm: float = 400.0
     wavelength_step_nm: float = 3.0
     background: SpectrumSpec = field(default_factory=SpectrumSpec)
-    objects: list = field(default_factory=list)
-    distractors: list = field(default_factory=list)  # painted, but not salient
+    objects: list[ObjectSpec] = field(default_factory=list)
+    distractors: list[ObjectSpec] = field(default_factory=list)  # painted, but not salient
     noise_level: float = 0.0
-    attributes: tuple = ()
+    attributes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1 or self.bands < 1:
@@ -176,121 +177,12 @@ def synth_scene(spec: SceneSpec, seed: int) -> tuple[HsiCube, np.ndarray]:
 # serialized form (strict: unknown keys are rejected)
 
 
-def _require_keys(doc: dict, allowed: set, context: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SceneSpecError(f"{context}: unknown keys {sorted(unknown)}")
-
-
-def _spectrum_from_dict(doc: dict, context: str) -> SpectrumSpec:
-    _require_keys(doc, {"base", "slope", "bumps", "step"}, context)
-    step = None
-    if doc.get("step") is not None:
-        sdoc = doc["step"]
-        _require_keys(sdoc, {"onset_nm", "end_nm", "amplitude"}, f"{context}.step")
-        step = NirStep(sdoc["onset_nm"], sdoc["end_nm"], sdoc["amplitude"])
-    bumps = []
-    for i, bdoc in enumerate(doc.get("bumps", [])):
-        _require_keys(bdoc, {"center_nm", "width_nm", "amplitude"}, f"{context}.bumps[{i}]")
-        bumps.append(GaussianBump(bdoc["center_nm"], bdoc["width_nm"], bdoc["amplitude"]))
-    return SpectrumSpec(doc.get("base", 0.4), doc.get("slope", 0.0), bumps, step)
-
-
-def _spectrum_to_dict(s: SpectrumSpec) -> dict:
-    return {
-        "base": s.base,
-        "slope": s.slope,
-        "bumps": [
-            {"center_nm": b.center_nm, "width_nm": b.width_nm, "amplitude": b.amplitude}
-            for b in s.bumps
-        ],
-        "step": None
-        if s.step is None
-        else {"onset_nm": s.step.onset_nm, "end_nm": s.step.end_nm, "amplitude": s.step.amplitude},
-    }
-
-
-def _object_from_dict(doc: dict, context: str) -> ObjectSpec:
-    _require_keys(doc, {"shape", "center", "scale", "spectrum", "aspect"}, context)
-    for key in ("shape", "center", "scale", "spectrum"):
-        if key not in doc:
-            raise SceneSpecError(f"{context}: missing key {key!r}")
-    return ObjectSpec(
-        shape=doc["shape"],
-        center=tuple(doc["center"]),
-        scale=doc["scale"],
-        spectrum=_spectrum_from_dict(doc["spectrum"], f"{context}.spectrum"),
-        aspect=doc.get("aspect", 1.0),
-    )
-
-
-_SCENE_KEYS = {
-    "height",
-    "width",
-    "bands",
-    "wavelength_start_nm",
-    "wavelength_step_nm",
-    "background",
-    "objects",
-    "distractors",
-    "noise_level",
-    "attributes",
-}
-
-
 def scene_spec_from_dict(doc: dict) -> SceneSpec:
-    _require_keys(doc, _SCENE_KEYS, "scene spec")
-    for key in ("height", "width", "bands"):
-        if key not in doc:
-            raise SceneSpecError(f"scene spec: missing key {key!r}")
-    return SceneSpec(
-        height=doc["height"],
-        width=doc["width"],
-        bands=doc["bands"],
-        wavelength_start_nm=doc.get("wavelength_start_nm", 400.0),
-        wavelength_step_nm=doc.get("wavelength_step_nm", 3.0),
-        background=_spectrum_from_dict(doc.get("background", {}), "background"),
-        objects=[_object_from_dict(d, f"objects[{i}]") for i, d in enumerate(doc.get("objects", []))],
-        distractors=[
-            _object_from_dict(d, f"distractors[{i}]")
-            for i, d in enumerate(doc.get("distractors", []))
-        ],
-        noise_level=doc.get("noise_level", 0.0),
-        attributes=tuple(doc.get("attributes", ())),
-    )
+    return from_dict(SceneSpec, doc, "scene spec", SceneSpecError)
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "height": spec.height,
-        "width": spec.width,
-        "bands": spec.bands,
-        "wavelength_start_nm": spec.wavelength_start_nm,
-        "wavelength_step_nm": spec.wavelength_step_nm,
-        "background": _spectrum_to_dict(spec.background),
-        "objects": [
-            {
-                "shape": o.shape,
-                "center": list(o.center),
-                "scale": o.scale,
-                "spectrum": _spectrum_to_dict(o.spectrum),
-                "aspect": o.aspect,
-            }
-            for o in spec.objects
-        ],
-        "distractors": [
-            {
-                "shape": o.shape,
-                "center": list(o.center),
-                "scale": o.scale,
-                "spectrum": _spectrum_to_dict(o.spectrum),
-                "aspect": o.aspect,
-            }
-            for o in spec.distractors
-        ],
-        "noise_level": spec.noise_level,
-        "attributes": list(spec.attributes),
-    }
+    return asdict(spec)
 
 
 # ---------------------------------------------------------------------------

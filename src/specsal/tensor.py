@@ -47,47 +47,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # Arithmetic sugar; all routes through the taped ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axes=None, keepdims=False):
-        return sum_over(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        return mean_over(self, axes, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def abs(self):
-        return absolute(self)
-
 
 class Parameter:
     """A named trainable tensor with a same-shaped gradient accumulator."""

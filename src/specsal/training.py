@@ -27,7 +27,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    level_weights: tuple = (1.0, 1.0, 1.0, 1.0)
+    level_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.steps < 1:

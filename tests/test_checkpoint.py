@@ -99,6 +99,28 @@ def test_load_rejects_truncation_anywhere(tmp_path):
             load_checkpoint(clipped)
 
 
+def test_load_rejects_cuts_of_a_model_checkpoint(tmp_path):
+    """A cut model checkpoint raises CheckpointError, never IndexError.
+
+    The tiny model's checkpoint is about 1 MB, so instead of all its prefixes
+    the cuts are every byte of its first five records (ranks 4, 1 and 2) and
+    the last byte of every record.
+    """
+    state = model_state(SaliencyModel(np.random.default_rng(0), tiny_model_config()))
+    whole = tmp_path / "whole.ckpt"
+    save_checkpoint(state, whole)
+    payload = whole.read_bytes()
+    ends = [8]
+    for name, values in state:
+        ends.append(ends[-1] + 2 + len(name.encode("utf-8")) + 1 + 4 * values.ndim + 4 * values.size)
+    assert ends[-1] == len(payload)
+    clipped = tmp_path / "clipped.ckpt"
+    for cut in sorted(set(range(ends[5])) | {end - 1 for end in ends[1:]}):
+        clipped.write_bytes(payload[:cut])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(clipped)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "extra.ckpt"
     save_checkpoint([("w", np.zeros(2))], path)

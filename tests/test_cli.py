@@ -341,3 +341,43 @@ def test_non_utf8_input_exits_two(reader, tmp_path, workspace, capsys):
     }[reader]
     assert main(argv) == 2
     assert "utf-8" in capsys.readouterr().err.lower()
+
+
+def _spec_with(edit):
+    doc = scene_spec_to_dict(training_demo_scene_spec())
+    edit(doc)
+    return doc
+
+
+def _manifest_entry(**changes):
+    return {"id": "a", "cube": "a.hsv2", "mask": "a.pgm", "split": "test", **changes}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("synth", _spec_with(lambda d: d.update(height="abc"))),
+        ("synth", _spec_with(lambda d: d["objects"][0].update(center=[0.5]))),
+        ("synth", _spec_with(lambda d: d["objects"][0]["spectrum"]["bumps"][0].update(width_nm="x"))),
+        ("eval", {"entries": 5}),
+        ("stats", {"entries": 5}),
+        ("eval", {"entries": [_manifest_entry(attributes=5)]}),
+        ("stats", {"entries": [_manifest_entry(attributes=5)]}),
+    ],
+    ids=["height-str", "center-short", "bump-width-str", "eval-entries-int",
+         "stats-entries-int", "eval-attributes-int", "stats-attributes-int"],
+)
+def test_ill_typed_documents_exit_two(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "synth": ["synth", "--spec", str(path), "--cube", str(tmp_path / "s.hsv2"),
+                  "--mask", str(tmp_path / "s.pgm")],
+        "eval": ["eval", "--manifest", str(path), "--pred-dir", str(tmp_path),
+                 "--out", str(tmp_path / "eval.json")],
+        "stats": ["stats", "--manifest", str(path), "--out-dir", str(tmp_path / "stats")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "s.hsv2").exists()

@@ -1,0 +1,155 @@
+"""The strict JSON decoder shared by configs, scene specs and manifests."""
+
+import functools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specsal.configio import (
+    from_dict,
+    model_config_from_dict,
+    model_config_to_dict,
+    train_config_from_dict,
+    train_config_to_dict,
+)
+from specsal.exceptions import ConfigError, ManifestError, SceneSpecError
+from specsal.manifest import DatasetManifest, ManifestEntry
+from specsal.model import default_model_config, tiny_model_config
+from specsal.scenes import (
+    SceneSpec,
+    color_similar_scene_spec,
+    scene_spec_from_dict,
+    scene_spec_to_dict,
+    training_demo_scene_spec,
+)
+from specsal.training import TrainConfig
+
+manifest_from_dict = functools.partial(
+    from_dict, DatasetManifest, context="manifest", error=ManifestError
+)
+MANIFEST = DatasetManifest([
+    ManifestEntry("a", "a.hsv2", "a.pgm", "train", ("CB", "SO")),
+    ManifestEntry("b", "b.hsv2", "b.pgm", "test"),
+])
+
+# (decoder, the only error it may raise, valid documents to mutate)
+KINDS = {
+    "model": (
+        model_config_from_dict,
+        ConfigError,
+        [model_config_to_dict(c) for c in (default_model_config(), tiny_model_config())],
+    ),
+    "train": (train_config_from_dict, ConfigError, [train_config_to_dict(TrainConfig())]),
+    "scene": (
+        scene_spec_from_dict,
+        SceneSpecError,
+        [scene_spec_to_dict(s) for s in (color_similar_scene_spec(), training_demo_scene_spec())],
+    ),
+    "manifest": (manifest_from_dict, ManifestError, [{"entries": [e.to_dict() for e in MANIFEST.entries]}]),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair below a JSON value."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def near_valid(draw, valid_docs):
+    """A valid document with one to three values replaced or keys dropped."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(valid_docs))))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(json_values)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_any_json_decodes_or_raises_only_its_kind_error(kind, data):
+    decode, error, valid_docs = KINDS[kind]
+    doc = data.draw(json_values | near_valid(valid_docs))
+    try:
+        decode(doc)
+    except error:
+        pass
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"steps": True}, "steps: expected int, got bool"),
+        ({"learning_rate": False}, "learning_rate: expected float, got bool"),
+        ({"steps": 5.0}, "steps: expected int, got float"),
+        ({"level_weights": 1.0}, "level_weights: expected an array, got float"),
+        ({"level_weights": [1, "2", 1, 1]}, r"level_weights\[1\]: expected float, got str"),
+        ({"level_weights": [10**400, 1, 1, 1]}, "int too large to convert to float"),
+    ],
+)
+def test_train_config_leaf_checks(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        train_config_from_dict(doc)
+
+
+def test_an_int_passes_where_a_float_is_declared():
+    assert train_config_from_dict({"learning_rate": 1}).learning_rate == 1
+
+
+def test_optional_fields_take_null_and_required_ones_do_not():
+    doc = scene_spec_to_dict(color_similar_scene_spec())
+    doc["objects"][0]["spectrum"]["step"] = None
+    assert scene_spec_from_dict(doc).objects[0].spectrum.step is None
+    doc["background"] = None
+    with pytest.raises(SceneSpecError, match="background: expected an object, got NoneType"):
+        scene_spec_from_dict(doc)
+
+
+def test_fixed_length_tuples_check_their_length():
+    doc = scene_spec_to_dict(color_similar_scene_spec())
+    doc["objects"][0]["center"] = [0.5, 0.5, 0.5]
+    with pytest.raises(SceneSpecError, match=r"objects\[0\]\.center: expected 2 items, got 3"):
+        scene_spec_from_dict(doc)
+
+
+def test_missing_required_keys_are_named():
+    with pytest.raises(SceneSpecError, match=r"missing keys \['bands', 'width'\]"):
+        scene_spec_from_dict({"height": 8})
+    with pytest.raises(ManifestError, match=r"missing keys \['entries'\]"):
+        manifest_from_dict({})
+
+
+def test_post_init_errors_pass_through_unchanged():
+    doc = {"entries": [dict(MANIFEST.entries[0].to_dict(), split="validation")]}
+    with pytest.raises(ManifestError, match="^entry a: split must be one of"):
+        manifest_from_dict(doc)
+
+
+def test_decoded_sequences_take_the_declared_container():
+    spec = scene_spec_from_dict(json.loads(json.dumps(scene_spec_to_dict(color_similar_scene_spec()))))
+    assert isinstance(spec, SceneSpec)
+    assert isinstance(spec.objects, list) and isinstance(spec.objects[0].center, tuple)
+    assert spec == color_similar_scene_spec()

@@ -70,6 +70,19 @@ def brute_pearson(pred, gt):
     return sxy / math.sqrt(sxx * syy)
 
 
+def loop_midranks(values):
+    """Midranks by a loop over the tie groups of a stable sort."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_values = values[order]
+    group_starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(sorted_values)) + 1, [len(values)])
+    )
+    for start, end in zip(group_starts[:-1], group_starts[1:]):
+        ranks[order[start:end]] = 0.5 * (start + 1 + end)
+    return ranks
+
+
 def random_pair(rng, quantize):
     """A random prediction and a two-class ground truth on an 8x8 grid."""
     pred = rng.random((8, 8))
@@ -166,6 +179,22 @@ def test_auc_extremes_and_ties():
     assert roc_auc(np.full((4, 4), 0.7), gt) == 0.5  # constant: all ties, midrank
     with pytest.raises(MetricInputError, match="both classes"):
         roc_auc(np.ones((2, 2)) * 0.5, np.ones((2, 2)))
+
+
+def test_midranks_match_the_tie_group_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    sad_like = np.round(rng.random((64, 64)) * 255.0) / 255.0
+    cases = [
+        np.array([0.5]),
+        np.array([0.3, 0.3, 0.3, 0.3]),
+        np.array([0.0, -0.0, 1.0, 0.0]),
+        rng.random(1000),  # no ties
+        np.round(rng.random(1000) * 4.0) / 4.0,  # five tie groups
+        sad_like.ravel(),
+    ]
+    for values in cases:
+        expected = loop_midranks(values)
+        assert specsal.metrics._midranks(values).tobytes() == expected.tobytes()
 
 
 def test_auc_invariant_under_monotone_transform():
