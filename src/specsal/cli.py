@@ -9,7 +9,6 @@ timestamps, so reruns with identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import sys
@@ -19,12 +18,7 @@ import numpy as np
 
 from .baselines import BASELINES
 from .checkpoint import apply_state, load_checkpoint, model_state, save_checkpoint
-from .configio import (
-    load_json_document,
-    model_config_from_dict,
-    model_config_to_dict,
-    train_config_from_dict,
-)
+from .configio import load_json_document, model_config_from_dict, model_config_to_dict
 from .cube import calibrate, pseudo_color, read_cube, write_cube
 from .exceptions import (
     ConfigError,
@@ -60,6 +54,7 @@ from .scenes import (
     training_demo_scene_spec,
 )
 from .training import (
+    GRADCHECK_TOLERANCE,
     TrainConfig,
     failing_groups,
     grad_check_suite,
@@ -167,23 +162,7 @@ def _load_examples(manifest, manifest_path, split):
 
 
 def _cmd_train(args) -> int:
-    config = (
-        train_config_from_dict(load_json_document(args.train_config))
-        if args.train_config
-        else TrainConfig()
-    )
-    overrides = {
-        name: value
-        for name, value in (
-            ("seed", args.seed),
-            ("steps", args.steps),
-            ("learning_rate", args.learning_rate),
-        )
-        if value is not None
-    }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
+    config = TrainConfig(args.seed, args.steps, args.learning_rate)
     manifest = load_manifest(args.manifest)
     examples = _load_examples(manifest, args.manifest, args.split)
     first = examples[0][1]
@@ -325,7 +304,7 @@ def _cmd_gradcheck(args) -> int:
     if args.report is not None:
         _write_json(
             {
-                "tolerance": args.tolerance,
+                "tolerance": GRADCHECK_TOLERANCE,
                 "groups": {
                     r.group: {
                         "checked": r.checked,
@@ -338,10 +317,10 @@ def _cmd_gradcheck(args) -> int:
             },
             args.report,
         )
-    failed = failing_groups(reports, args.tolerance)
+    failed = failing_groups(reports, GRADCHECK_TOLERANCE)
     if failed:
         names = ", ".join(r.group for r in failed)
-        raise NumericError(f"gradient audit over tolerance {args.tolerance}: {names}")
+        raise NumericError(f"gradient audit over tolerance {GRADCHECK_TOLERANCE}: {names}")
     return 0
 
 
@@ -398,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", type=Path, required=True, help="checkpoint path")
     train.add_argument("--log", type=Path, required=True, help="JSONL loss log")
     train.add_argument("--split", default="train", choices=("train", "test", "all"))
-    train.add_argument("--train-config", type=Path, help="TrainConfig JSON")
     train.add_argument("--model-config", type=Path, help="model config JSON")
-    train.add_argument("--seed", type=int, help="override config seed")
-    train.add_argument("--steps", type=int, help="override config steps")
-    train.add_argument("--learning-rate", type=float, help="override config learning rate")
+    train.add_argument("--seed", type=int, default=TrainConfig.seed, help="weight-init seed")
+    train.add_argument("--steps", type=int, default=TrainConfig.steps, help="optimizer updates")
+    train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
+                       help="Adam step size, positive and finite")
     train.set_defaults(handler=_cmd_train)
 
     evaluate = commands.add_parser("eval", help="score predictions against a manifest")
@@ -423,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     grad = commands.add_parser("gradcheck", help="finite-difference audit of the tiny model")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--samples", type=int, default=20, help="scalars sampled per group")
-    grad.add_argument("--tolerance", type=float, default=1e-4)
     grad.add_argument("--report", type=Path, help="optional JSON report path")
     grad.set_defaults(handler=_cmd_gradcheck)
 

@@ -1,12 +1,13 @@
 """Strict decoding of every JSON document into its dataclass.
 
-Model and train configs, synthetic scene specs and dataset manifests all go
-through one decoder, ``from_dict``, driven by the dataclasses' type hints.
-Unknown keys, missing required keys and ill-typed values are rejected rather
-than silently ignored, so a typo in a JSON file fails loudly instead of
-running with defaults, and every malformed document raises its kind's
-``DataError`` subclass (the CLI exits 2). Value validation itself lives in the
-dataclasses' __post_init__ hooks; encoding is ``dataclasses.asdict``.
+Model configs, synthetic scene specs and dataset manifests all go through one
+decoder, ``from_dict``, driven by the dataclasses' type hints. Unknown keys,
+missing required keys, ill-typed values and non-finite numbers (JSON's
+``NaN``/``Infinity`` extensions, or integers too large for a float) are
+rejected rather than silently ignored, so a typo in a JSON file fails loudly
+instead of running with defaults, and every malformed document raises its
+kind's ``DataError`` subclass (the CLI exits 2). Value validation itself lives
+in the dataclasses' __post_init__ hooks; encoding is ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from pathlib import Path
 
 from .exceptions import ConfigError, DataError
 from .model import ModelConfig
-from .training import TrainConfig
 
 
 @functools.cache
@@ -41,10 +42,10 @@ def from_dict(cls, doc, context: str, error: type[DataError]):
 
     Nested dataclasses, ``X | None``, ``tuple[...]`` and ``list[X]`` fields
     are decoded recursively; int, float and str leaves are type-checked (an int
-    passes where a float is declared, a bool never passes as a number).
-    ``DataError`` from ``__post_init__`` propagates unchanged; any other
-    TypeError, ValueError or OverflowError is re-raised as ``error`` naming
-    ``context``.
+    passes where a float is declared and is converted to one, a bool never
+    passes as a number, and a float leaf must be finite). ``DataError`` from
+    ``__post_init__`` propagates unchanged; any other TypeError, ValueError or
+    OverflowError is re-raised as ``error`` naming ``context``.
     """
     if not isinstance(doc, dict):
         raise error(f"{context}: expected an object, got {type(doc).__name__}")
@@ -92,7 +93,15 @@ def _decode(hint, value, context: str, error: type[DataError]):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise error(f"{context}: expected {hint.__name__}, got {type(value).__name__}")
-    return value
+    if hint is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError as err:
+        raise error(f"{context}: {err}") from err
+    if not math.isfinite(number):
+        raise error(f"{context}: expected a finite number, got {number}")
+    return number
 
 
 def model_config_from_dict(doc: dict) -> ModelConfig:
@@ -100,14 +109,6 @@ def model_config_from_dict(doc: dict) -> ModelConfig:
 
 
 def model_config_to_dict(config: ModelConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def train_config_from_dict(doc: dict) -> TrainConfig:
-    return from_dict(TrainConfig, doc, "train config", ConfigError)
-
-
-def train_config_to_dict(config: TrainConfig) -> dict:
     return dataclasses.asdict(config)
 
 

@@ -58,24 +58,19 @@ def soft_iou_loss(probs, target) -> Tensor:
     return T.sub(1.0, ratio)
 
 
-def dense_saliency_loss(level_predictions, mask, level_weights):
-    """Sum of weighted BCE+IoU over levels, each upsampled to mask size.
+def dense_saliency_loss(level_predictions, mask):
+    """Sum of BCE+IoU over levels, each upsampled to mask size.
 
-    Returns (taped total, per-level float values before weighting).
+    Returns (taped total, per-level float values).
     """
-    if len(level_weights) != len(level_predictions):
-        raise ShapeError(
-            f"{len(level_weights)} level weights for {len(level_predictions)} levels"
-        )
     h, w = mask.shape
     total = None
     per_level = []
-    for pred, weight in zip(level_predictions, level_weights):
+    for pred in level_predictions:
         pred = resize_to(pred, h, w)
         term = T.add(binary_cross_entropy(pred, mask), soft_iou_loss(pred, mask))
         per_level.append(term.item())
-        weighted = T.mul(float(weight), term)
-        total = weighted if total is None else T.add(total, weighted)
+        total = term if total is None else T.add(total, term)
     return total, tuple(per_level)
 
 
@@ -97,7 +92,7 @@ class LossReport:
             )
 
 
-def compute_losses(output, cube_values, mask, level_weights=(1.0, 1.0, 1.0, 1.0)):
+def compute_losses(output, cube_values, mask):
     """Score one forward pass against its cube and mask.
 
     Returns (taped scalar total, LossReport). ``mask`` is the full-resolution
@@ -110,9 +105,7 @@ def compute_losses(output, cube_values, mask, level_weights=(1.0, 1.0, 1.0, 1.0)
             f"mask {mask.shape} does not match saliency {output.saliency.shape}"
         )
     recon = mean_absolute_error(output.restored, np.asarray(cube_values, dtype=float))
-    dense, per_level = dense_saliency_loss(
-        output.level_predictions, mask, level_weights
-    )
+    dense, per_level = dense_saliency_loss(output.level_predictions, mask)
     grid = output.block_saliency.shape[1]
     coarse_target = block_ground_truth(mask, grid)
     coarse = binary_cross_entropy(output.block_saliency, coarse_target)

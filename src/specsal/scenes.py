@@ -23,6 +23,9 @@ from .cube import HsiCube, quantize_f32, REFLECTANCE_CEILING
 from .exceptions import SceneSpecError
 from .manifest import ATTRIBUTE_VOCABULARY
 
+# A desk-scale cap on bands * height * width; the largest preset has 2**17.
+MAX_SCENE_SAMPLES = 2**24
+
 
 @dataclass
 class GaussianBump:
@@ -112,6 +115,11 @@ class SceneSpec:
         if self.height < 1 or self.width < 1 or self.bands < 1:
             raise SceneSpecError(
                 f"scene dims must be positive, got {self.height}x{self.width}x{self.bands}"
+            )
+        if self.bands * self.height * self.width > MAX_SCENE_SAMPLES:
+            raise SceneSpecError(
+                f"scene of {self.height}x{self.width}x{self.bands} exceeds "
+                f"{MAX_SCENE_SAMPLES} samples"
             )
         if self.wavelength_step_nm <= 0:
             raise SceneSpecError(f"wavelength step must be positive, got {self.wavelength_step_nm}")

@@ -79,7 +79,6 @@ class Tape:
         self._records = []  # (output Tensor, input Tensors, backward fn)
         self._params = []  # Parameters in first-use order
         self._param_ids = set()
-        self._grads = {}  # id(tensor) -> ndarray, filled by backward()
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -105,13 +104,15 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into .grad of every watched Parameter.
 
-        Visits each recorded op exactly once, in reverse execution order.
+        Visits each recorded op exactly once, in reverse execution order. Each
+        output is recorded once and parameters are never outputs, so an op's
+        upstream gradient is dropped as soon as the op has consumed it.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads = {id(loss): np.ones_like(loss.data)}
         for out, inputs, back in reversed(self._records):
-            g = grads.get(id(out))
+            g = grads.pop(id(out), None)
             if g is None:
                 continue  # not on a path to the loss
             for inp, gi in zip(inputs, back(g)):
@@ -122,15 +123,10 @@ class Tape:
                 # return views or the upstream array itself, and numpy turns
                 # 0-d results into immutable scalars.
                 grads[id(inp)] = gi if acc is None else acc + gi
-        self._grads = grads
         for param in self._params:
             acc = grads.get(id(param.value))
             if acc is not None:
                 param.grad.data += acc
-
-    def gradient(self, t: Tensor):
-        """Gradient w.r.t. an arbitrary taped tensor from the last backward()."""
-        return self._grads.get(id(t))
 
     def first_non_finite(self):
         """Earliest recorded op whose output holds a NaN or infinity.

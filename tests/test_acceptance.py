@@ -250,9 +250,8 @@ def test_reconstruction_only_training_reaches_quarter_error():
     restoration error below 25% of its initial value, and the loss history is
     bit-identical to the committed reference run."""
     cube, _ = synth_scene(reconstruction_demo_scene_spec(), seed=0)
-    config = EncoderConfig()
-    encoder = SpectralEncoder(np.random.default_rng(0), config)
-    history = fit_reconstruction(encoder, cube.data, config.band_group, steps=200)
+    encoder = SpectralEncoder(np.random.default_rng(0), EncoderConfig())
+    history = fit_reconstruction(encoder, cube.data, steps=200)
     assert len(history) == 200
     assert history[-1] < 0.25 * history[0]
 

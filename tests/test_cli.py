@@ -381,3 +381,31 @@ def test_ill_typed_documents_exit_two(command, doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "s.hsv2").exists()
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [
+        ("synth", {"noise_level": float("nan")}),
+        ("synth", {"noise_level": float("inf")}),
+        ("synth", {"noise_level": 10**400}),
+        ("synth", {"height": 2**62, "width": 2**62}),
+        ("train", "nan"),
+        ("train", "inf"),
+    ],
+    ids=["noise-nan", "noise-inf", "noise-int-overflows-float", "scene-too-large",
+         "learning-rate-nan", "learning-rate-inf"],
+)
+def test_non_finite_and_oversized_numbers_exit_two(command, value, tmp_path, workspace, capsys):
+    outputs = [tmp_path / "s.hsv2", tmp_path / "s.pgm", tmp_path / "s.ckpt", tmp_path / "s.jsonl"]
+    if command == "synth":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_spec_with(lambda d: d.update(value))))
+        argv = ["synth", "--spec", str(spec), "--cube", str(outputs[0]), "--mask", str(outputs[1])]
+    else:
+        argv = ["train", "--manifest", str(workspace / "manifest.json"), "--out", str(outputs[2]),
+                "--log", str(outputs[3]), "--learning-rate", value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any(output.exists() for output in outputs)

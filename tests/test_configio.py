@@ -1,17 +1,10 @@
-"""Config document round trips and strict key checking."""
+"""Model config round trips, strict key checking and JSON document loading."""
 
 import pytest
 
-from specsal.configio import (
-    load_json_document,
-    model_config_from_dict,
-    model_config_to_dict,
-    train_config_from_dict,
-    train_config_to_dict,
-)
+from specsal.configio import load_json_document, model_config_from_dict, model_config_to_dict
 from specsal.exceptions import ConfigError
 from specsal.model import demo_model_config, default_model_config, tiny_model_config
-from specsal.training import TrainConfig
 
 
 @pytest.mark.parametrize(
@@ -46,16 +39,6 @@ def test_model_config_rejects_wrong_shapes():
 def test_model_config_values_still_validated():
     with pytest.raises(ConfigError, match="input size"):
         model_config_from_dict({"input_size": 7})
-
-
-def test_train_config_round_trip():
-    config = TrainConfig(seed=3, steps=7, learning_rate=0.01, level_weights=(1, 2, 0, 1))
-    assert train_config_from_dict(train_config_to_dict(config)) == config
-
-
-def test_train_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown keys"):
-        train_config_from_dict({"step": 5})
 
 
 def test_load_json_document_errors(tmp_path):

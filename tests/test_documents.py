@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsal.configio import (
-    from_dict,
-    model_config_from_dict,
-    model_config_to_dict,
-    train_config_from_dict,
-    train_config_to_dict,
-)
+from specsal.configio import from_dict, model_config_from_dict, model_config_to_dict
 from specsal.exceptions import ConfigError, ManifestError, SceneSpecError
 from specsal.manifest import DatasetManifest, ManifestEntry
 from specsal.model import default_model_config, tiny_model_config
@@ -24,7 +18,6 @@ from specsal.scenes import (
     scene_spec_to_dict,
     training_demo_scene_spec,
 )
-from specsal.training import TrainConfig
 
 manifest_from_dict = functools.partial(
     from_dict, DatasetManifest, context="manifest", error=ManifestError
@@ -41,7 +34,6 @@ KINDS = {
         ConfigError,
         [model_config_to_dict(c) for c in (default_model_config(), tiny_model_config())],
     ),
-    "train": (train_config_from_dict, ConfigError, [train_config_to_dict(TrainConfig())]),
     "scene": (
         scene_spec_from_dict,
         SceneSpecError,
@@ -99,24 +91,37 @@ def test_any_json_decodes_or_raises_only_its_kind_error(kind, data):
         pass
 
 
+def _demo_spec_with(**changes):
+    return dict(scene_spec_to_dict(training_demo_scene_spec()), **changes)
+
+
+def _center(value):
+    doc = _demo_spec_with()
+    doc["objects"][0]["center"] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"steps": True}, "steps: expected int, got bool"),
-        ({"learning_rate": False}, "learning_rate: expected float, got bool"),
-        ({"steps": 5.0}, "steps: expected int, got float"),
-        ({"level_weights": 1.0}, "level_weights: expected an array, got float"),
-        ({"level_weights": [1, "2", 1, 1]}, r"level_weights\[1\]: expected float, got str"),
-        ({"level_weights": [10**400, 1, 1, 1]}, "int too large to convert to float"),
+        (_demo_spec_with(height=True), "height: expected int, got bool"),
+        (_demo_spec_with(noise_level=False), "noise_level: expected float, got bool"),
+        (_demo_spec_with(bands=8.0), "bands: expected int, got float"),
+        (_demo_spec_with(attributes=1.0), "attributes: expected an array, got float"),
+        (_center([0.5, "0.5"]), r"objects\[0\]\.center\[1\]: expected float, got str"),
+        (_demo_spec_with(noise_level=10**400), "noise_level: int too large to convert to float"),
     ],
+    ids=["bool-as-int", "bool-as-float", "float-as-int", "non-array",
+         "ill-typed-element", "int-overflows-float"],
 )
-def test_train_config_leaf_checks(doc, message):
-    with pytest.raises(ConfigError, match=message):
-        train_config_from_dict(doc)
+def test_scene_spec_leaf_checks(doc, message):
+    with pytest.raises(SceneSpecError, match=message):
+        scene_spec_from_dict(doc)
 
 
 def test_an_int_passes_where_a_float_is_declared():
-    assert train_config_from_dict({"learning_rate": 1}).learning_rate == 1
+    noise_level = scene_spec_from_dict(_demo_spec_with(noise_level=1)).noise_level
+    assert noise_level == 1 and isinstance(noise_level, float)
 
 
 def test_optional_fields_take_null_and_required_ones_do_not():

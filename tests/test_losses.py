@@ -99,15 +99,13 @@ def test_soft_iou_bounded_below_by_zero():
         assert soft_iou_loss(Tensor(pred), target).item() >= 0.0
 
 
-def test_dense_loss_weight_zeroing_selects_levels():
+def test_dense_loss_total_is_the_sum_of_level_terms():
     rng = np.random.default_rng(9)
     levels = [Tensor(rng.uniform(0.1, 0.9, size=(1, s, s))) for s in (8, 4, 2, 1)]
     mask = (rng.random((8, 8)) > 0.5).astype(float)
-    total_first, terms = dense_saliency_loss(levels, mask, (1.0, 0.0, 0.0, 0.0))
-    assert total_first.item() == pytest.approx(terms[0], abs=1e-15)
-    total_all, terms_all = dense_saliency_loss(levels, mask, (1.0, 1.0, 1.0, 1.0))
-    assert total_all.item() == pytest.approx(sum(terms_all), rel=1e-12)
-    assert terms == terms_all  # unweighted per-level values are reported
+    total, terms = dense_saliency_loss(levels, mask)
+    assert len(terms) == 4
+    assert total.item() == pytest.approx(sum(terms), rel=1e-12)
 
 
 def test_dense_loss_uniform_half_bce_component():
@@ -115,16 +113,10 @@ def test_dense_loss_uniform_half_bce_component():
     mask = np.zeros((4, 4))
     mask[:2, :2] = 1.0
     levels = [Tensor(np.full((1, s, s), 0.5)) for s in (4, 2)]
-    _, terms = dense_saliency_loss(levels, mask, (1.0, 1.0))
+    _, terms = dense_saliency_loss(levels, mask)
     iou = soft_iou_loss(Tensor(np.full((4, 4), 0.5)), mask).item()
     for term in terms:
         assert term == pytest.approx(math.log(2.0) + iou, abs=1e-12)
-
-
-def test_dense_loss_weight_count_mismatch():
-    levels = [Tensor(np.full((1, 4, 4), 0.5))]
-    with pytest.raises(ShapeError, match="weights"):
-        dense_saliency_loss(levels, np.zeros((4, 4)), (1.0, 1.0))
 
 
 def test_loss_report_rejects_broken_decomposition():

@@ -1,6 +1,7 @@
 """Tensor primitives: frozen hand values, brute-force oracles, finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,25 @@ def test_backward_visits_each_op_once_in_reverse_order():
     assert order == [2, 1, 0]  # reverse execution order, one visit each
     # d/dp of 3p*(3p+1) = 18p + 3 = 39 at p=2
     assert p.grad.data == pytest.approx(39.0)
+
+
+def test_backward_frees_each_gradient_once_consumed():
+    # a 50-op chain needs a few live gradient arrays at a time, not one per op
+    n = 100_000
+    p = Parameter(np.ones(n))
+    with Tape() as tape:
+        y = p
+        for _ in range(50):
+            y = T.mul(y, 1.0)
+        loss = T.sum_over(y)
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * p.value.data.itemsize
+    np.testing.assert_array_equal(p.grad.data, np.ones(n))
 
 
 def test_gradient_accumulates_across_reuse():

@@ -44,7 +44,7 @@ def test_adam_matches_hand_computed_updates():
     g2 = np.array([-1.0, 0.4, 0.0])
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     param = Parameter(Tensor(p0.copy()), name="p")
-    opt = AdamOptimizer([param], lr, b1, b2, eps)
+    opt = AdamOptimizer([param], lr)
 
     expected1, expected2 = _reference_adam_two_steps(p0, g1, g2, lr, b1, b2, eps)
     param.grad.data[...] = g1
@@ -81,16 +81,9 @@ def test_adam_skips_frozen_parameters():
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(steps=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(epsilon=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(level_weights=(1.0, 1.0))
-    with pytest.raises(ConfigError):
-        TrainConfig(level_weights=(1.0, 1.0, -1.0, 1.0))
+    for learning_rate in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainConfig(learning_rate=learning_rate)
 
 
 def _demo_example(seed=4):
@@ -163,45 +156,38 @@ def test_train_loop_requires_examples():
         train_loop(model, [], TrainConfig(steps=1))
 
 
-def test_level_weights_change_the_training_trajectory():
-    cube, mask = _demo_example()
-
-    def final_state(weights):
-        model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
-        train_loop(model, [(cube, mask)], TrainConfig(steps=2, level_weights=weights))
-        return np.concatenate([p.value.data.ravel() for p in model.parameters()])
-
-    uniform = final_state((1.0, 1.0, 1.0, 1.0))
-    finest_only = final_state((1.0, 0.0, 0.0, 0.0))
-    assert not np.array_equal(uniform, finest_only)
-
-
 def test_fit_reconstruction_reduces_error():
-    config = tiny_model_config().encoder
-    encoder = SpectralEncoder(np.random.default_rng(0), config)
+    encoder = SpectralEncoder(np.random.default_rng(0), tiny_model_config().encoder)
     cube, _ = synth_scene(training_demo_scene_spec(height=8, width=8, bands=8), 4)
-    history = fit_reconstruction(encoder, cube.data, config.band_group, steps=60)
+    history = fit_reconstruction(encoder, cube.data, steps=60)
     assert len(history) == 60
     assert history[-1] < 0.5 * history[0]
 
 
-def test_frozen_attention_scalars_train_worse_than_free():
+@pytest.fixture(scope="module")
+def seeded_demo_run():
+    """The seeded 100-step demo run: (cube values, trained model, loss reports)."""
+    cube, mask = synth_scene(training_demo_scene_spec(), 0)
+    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
+    reports = train_loop(
+        model, [(cube.data, mask.astype(float))], TrainConfig(seed=0, steps=100)
+    )
+    return cube.data, model, reports
+
+
+def test_frozen_attention_scalars_train_worse_than_free(seeded_demo_run):
     # the learnable attention temperatures and pooling gains must matter:
     # freezing them on the seeded demo scene leaves a strictly higher final loss
     cube, mask = synth_scene(training_demo_scene_spec(), 0)
-    example = (cube.data, mask.astype(float))
-
-    def final_loss(freeze):
-        model = SaliencyModel(np.random.default_rng(0), demo_model_config())
-        model.assign_parameter_names()
-        if freeze:
-            for name, p in model.named_parameters():
-                if parameter_group(name) in ("attention_scales", "pool_gains"):
-                    p.trainable = False
-        reports = train_loop(model, [example], TrainConfig(seed=0, steps=100))
-        return reports[-1].total
-
-    assert final_loss(freeze=False) < final_loss(freeze=True)
+    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
+    for name, p in model.named_parameters():
+        if parameter_group(name) in ("attention_scales", "pool_gains"):
+            p.trainable = False
+    reports = train_loop(
+        model, [(cube.data, mask.astype(float))], TrainConfig(seed=0, steps=100)
+    )
+    _, _, free_reports = seeded_demo_run
+    assert free_reports[-1].total < reports[-1].total
 
 
 def _spearman(a, b):
@@ -230,15 +216,11 @@ def _spearman(a, b):
     "training)",
     strict=True,
 )
-def test_trained_uncertainty_tracks_prediction_ambiguity():
+def test_trained_uncertainty_tracks_prediction_ambiguity(seeded_demo_run):
     # hoped-for property: pixels whose saliency prediction sits near 0.5
     # carry more ternary-map uncertain mass, at every decoder level
-    cube, mask = synth_scene(training_demo_scene_spec(), 0)
-    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
-    train_loop(
-        model, [(cube.data, mask.astype(float))], TrainConfig(seed=0, steps=100)
-    )
-    output = model(cube.data)
+    cube, model, _ = seeded_demo_run
+    output = model(cube)
     for prediction, trimap in zip(output.level_predictions, output.trimaps):
         closeness = (0.5 - np.abs(prediction.data[0] - 0.5)).ravel()
         uncertain_mass = trimap.data[2].ravel()

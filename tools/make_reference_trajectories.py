@@ -51,9 +51,8 @@ def training_demo_trajectory() -> dict:
 
 def reconstruction_demo_trajectory() -> dict:
     cube, _ = synth_scene(reconstruction_demo_scene_spec(), seed=0)
-    config = EncoderConfig()
-    encoder = SpectralEncoder(np.random.default_rng(0), config)
-    history = fit_reconstruction(encoder, cube.data, config.band_group, steps=200)
+    encoder = SpectralEncoder(np.random.default_rng(0), EncoderConfig())
+    history = fit_reconstruction(encoder, cube.data, steps=200)
     return {
         "scene": "reconstruction-demo",
         "scene_seed": 0,
