@@ -79,10 +79,6 @@ def _saliency_to_pgm(values: np.ndarray) -> np.ndarray:
     return np.round(255.0 * np.clip(values, 0.0, 1.0)).astype(np.uint8)
 
 
-def _load_model_config(path):
-    return model_config_from_dict(load_json_document(path))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -132,7 +128,7 @@ def _cmd_infer(args) -> int:
                 f"no model config: pass --config or provide the sidecar {sidecar}"
             )
         config_path = sidecar
-    config = _load_model_config(config_path)
+    config = model_config_from_dict(load_json_document(config_path))
     model = SaliencyModel(None, config)  # every weight comes from the checkpoint
     apply_state(model, load_checkpoint(args.checkpoint))
     cube = read_cube(args.cube)
@@ -178,7 +174,7 @@ def _cmd_train(args) -> int:
                 f"entry's {first.data.shape}"
             )
     model_config = (
-        _load_model_config(args.model_config)
+        model_config_from_dict(load_json_document(args.model_config))
         if args.model_config
         else demo_model_config(bands=first.bands, input_size=first.height)
     )
@@ -279,6 +275,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(args.seed), config)
     jitter_parameters(model.parameters(), seed=args.seed)
@@ -415,6 +413,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage or help
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -66,14 +66,10 @@ class Conv2d(Module):
         bias: bool = True,
     ):
         kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
-        if depthwise:
-            if out_channels != in_channels:
-                raise ShapeError("depthwise conv needs out_channels == in_channels")
-            shape = (out_channels, 1, kh, kw)
-            fan_in = kh * kw
-        else:
-            shape = (out_channels, in_channels, kh, kw)
-            fan_in = in_channels * kh * kw
+        if depthwise and out_channels != in_channels:
+            raise ShapeError("depthwise conv needs out_channels == in_channels")
+        shape = (out_channels, 1 if depthwise else in_channels, kh, kw)
+        fan_in = shape[1] * kh * kw
         self.stride = stride
         self.depthwise = depthwise
         self.out_channels = out_channels

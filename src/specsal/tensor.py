@@ -6,7 +6,8 @@ op, and Tape.backward replays those records once each, in reverse execution
 order, accumulating gradients into every Parameter that took part.
 
 Layout conventions: feature maps are (channels, height, width); token matrices
-are (tokens, channels); convolution is cross-correlation with zero padding.
+are (tokens, channels); convolution is zero-padded cross-correlation, lowered
+to grouped matmuls over an im2col that backward rebuilds instead of taping.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ShapeError
 
@@ -172,6 +172,8 @@ def _push(out: Tensor, inputs, back) -> None:
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -378,7 +380,7 @@ def softmax(a, axis: int) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(shape))
     _push(out, (a,), lambda g: (g.reshape(a.shape),))
@@ -462,8 +464,8 @@ def sum_over(a, axes=None, keepdims: bool = False) -> Tensor:
 def mean_over(a, axes=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axes, a.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if a.ndim else 1
-    out = Tensor(a.data.mean(axis=axes, keepdims=keepdims))
+    count = math.prod(a.shape[ax] for ax in axes)
+    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims) / count)  # np.mean's arithmetic
 
     def back(g):
         if not keepdims:
@@ -499,6 +501,11 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
     x is (C_in, H, W); kernel is (C_out, C_in, kh, kw), or (C, 1, kh, kw) with
     depthwise=True for one kernel per channel. Kernel dims must be odd, so at
     stride 1 the output keeps the input's spatial size.
+
+    Lowered to im2col (Chellapilla et al. 2006): one grouped matmul of the
+    (groups, C_out/groups, rows) kernel with the (groups, rows, H_out*W_out)
+    im2col, groups = C_in if depthwise else 1. Backward rebuilds the im2col,
+    which holds kh*kw copies of the input, rather than keep it on the tape.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3:
@@ -509,41 +516,38 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d kernel dims must be odd, got {kh}x{kw}")
     c_in, h, w = x.shape
-    if depthwise:
-        if c_k != 1 or c_out != c_in:
-            raise ShapeError(
-                f"depthwise conv needs kernel (C,1,kh,kw) with C={c_in}, got {kernel.shape}"
-            )
-    elif c_k != c_in:
-        raise ShapeError(f"conv2d kernel expects {c_k} input channels, input has {c_in}")
+    groups = c_in if depthwise else 1
+    if c_k * groups != c_in or depthwise and c_out != c_in:
+        kind = "(C,1,kh,kw) depthwise" if depthwise else "(C_out,C_in,kh,kw)"
+        raise ShapeError(f"conv2d needs a {kind} kernel for input {x.shape}, got {kernel.shape}")
     s = int(stride)
     if s < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d output empty for input {x.shape}, kernel {kh}x{kw}")
     ph, pw = kh // 2, kw // 2
+    ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
+    km = kernel.data.reshape(groups, c_out // groups, -1)  # rows (c, u, v), like im2col's
+    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x.data
+    taps = [np.s_[:, u : u + s * ho : s, v : v + s * wo : s] for u in range(kh) for v in range(kw)]
 
-    xd, kd = x.data, kernel.data
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=xd.dtype)
-    xp[:, ph : ph + h, pw : pw + w] = xd
-    # Every receptive field as a (C_in, H_out, W_out, kh, kw) view of xp. It
-    # copies nothing; each contraction below makes its own transient im2col.
-    window = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    ho, wo = window.shape[1:3]
-    # Subscripts: c input channel, o output channel, (h, w) output position,
-    # (u, v) kernel offset. A depthwise kernel maps channel c to channel c.
-    k_sub, y_sub = ("cuv", "chw") if depthwise else ("ocuv", "ohw")
-    km = kd[:, 0] if depthwise else kd
-    out = Tensor(np.einsum(f"chwuv,{k_sub}->{y_sub}", window, km, optimize=True))
+    def im2col():
+        cols = np.empty((c_in, kh * kw, ho, wo), dtype=xp.dtype)
+        for i, t in enumerate(taps):
+            cols[:, i] = xp[t]
+        return cols.reshape(groups, -1, ho * wo)
+
+    out = Tensor((km @ im2col()).reshape(c_out, ho, wo))
 
     def back(g):
-        gk = np.einsum(f"{y_sub},chwuv->{k_sub}", g, window, optimize=True)
-        cols = np.einsum(f"{k_sub},{y_sub}->cuvhw", km, g, optimize=True)
+        gm = g.reshape(groups, c_out // groups, ho * wo)
+        gk = gm @ im2col().transpose(0, 2, 1)
+        cols = (km.transpose(0, 2, 1) @ gm).reshape(c_in, kh * kw, ho, wo)
         gxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, u : u + s * ho : s, v : v + s * wo : s] += cols[:, u, v]
-        return gxp[:, ph : ph + h, pw : pw + w], gk.reshape(kd.shape)
+        for i, t in enumerate(taps):
+            gxp[t] += cols[:, i]
+        return gxp[:, ph : ph + h, pw : pw + w], gk.reshape(kernel.shape)
 
     _push(out, (x, kernel), back)
     return out

@@ -409,3 +409,31 @@ def test_non_finite_and_oversized_numbers_exit_two(command, value, tmp_path, wor
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not any(output.exists() for output in outputs)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("synth", ["--seed", "-1"]),
+        ("train", ["--seed", "-1"]),
+        ("gradcheck", ["--seed", "-1"]),
+        ("gradcheck", ["--samples", "0"]),
+        ("gradcheck", ["--samples", "-3"]),
+    ],
+    ids=["synth-seed", "train-seed", "gradcheck-seed", "gradcheck-no-samples",
+         "gradcheck-negative-samples"],
+)
+def test_negative_seed_or_empty_audit_exits_two_before_any_work(command, flags, tmp_path, workspace, capsys):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--preset", "training-demo", "--cube", str(out),
+                  "--mask", str(tmp_path / "s.pgm")],
+        "train": ["train", "--manifest", str(workspace / "manifest.json"), "--out", str(out),
+                  "--log", str(tmp_path / "s.jsonl")],
+        "gradcheck": ["gradcheck", "--report", str(out)],
+    }[command]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not list(tmp_path.iterdir())

@@ -162,6 +162,8 @@ def brute_conv2d(x, k, stride, ph, pw, depthwise):
         (4, 4, 3, 3, 1, True),
         (3, 3, 7, 1, 1, True),
         (2, 6, 1, 7, 1, False),
+        (3, 3, 3, 3, 2, True),
+        (3, 4, 1, 1, 2, False),
     ],
 )
 def test_conv2d_matches_bruteforce(cin, cout, kh, kw, stride, depthwise):
@@ -173,6 +175,22 @@ def test_conv2d_matches_bruteforce(cin, cout, kh, kw, stride, depthwise):
     got = T.conv2d(Tensor(x), Tensor(k), stride, depthwise=depthwise).data
     want = brute_conv2d(x, k, stride, ph, pw, depthwise)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_conv2d_keeps_no_im2col_on_the_tape():
+    # an im2col of a 3x3 conv holds 9 copies of the input; backward rebuilds it
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(8, 32, 32)))
+    k = Parameter(rng.normal(size=(8, 8, 3, 3)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = T.conv2d(x, k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and out.shape == x.shape
+    assert held < 3 * x.data.nbytes
 
 
 def test_conv2d_rejects_even_kernel_and_bad_channels():
@@ -421,6 +439,19 @@ def test_shared_upstream_gradient_is_not_corrupted():
     np.testing.assert_array_equal(y.grad.data, [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "shape, axes",
+    [((), None), ((5,), None), ((5,), 0), ((3, 4), (1,)), ((3, 4), (0, 1)),
+     ((2, 3, 4), (1, 2)), ((2, 3, 4), (0, 2)), ((4, 6, 5), -1)],
+)
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_mean_over_matches_numpy_mean_bitwise(shape, axes, keepdims):
+    x = np.random.default_rng(8).normal(size=shape) * 1e3
+    got = T.mean_over(Tensor(x), axes, keepdims).data
+    want = np.asarray(np.mean(x, axis=axes, keepdims=keepdims))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checks, per primitive
 
@@ -465,6 +496,26 @@ PRIMITIVE_CASES = {
     "conv2d_depthwise": (
         lambda x, k: scalarize(T.mul(T.conv2d(x, k, 1, depthwise=True), 2.0)),
         [(3, 4, 4), (3, 1, 3, 3)],
+    ),
+    "conv2d_1x1": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k), T.conv2d(x, k))),
+        [(3, 4, 4), (2, 3, 1, 1)],
+    ),
+    "conv2d_7x1": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k), T.conv2d(x, k))),
+        [(2, 5, 4), (2, 2, 7, 1)],
+    ),
+    "conv2d_1x7": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k), T.conv2d(x, k))),
+        [(2, 4, 5), (2, 2, 1, 7)],
+    ),
+    "conv2d_stride2_odd": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2), T.conv2d(x, k, 2))),
+        [(2, 5, 5), (3, 2, 3, 3)],
+    ),
+    "conv2d_depthwise_stride2": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2, depthwise=True), 2.0)),
+        [(3, 5, 5), (3, 1, 3, 3)],
     ),
     "channel_conv1d": (
         lambda x, k: scalarize(T.mul(T.channel_conv1d(x, k), T.channel_conv1d(x, k))),
