@@ -75,13 +75,13 @@ def load_checkpoint(path) -> dict:
 
 
 def model_state(model):
-    """(name, values) pairs for every parameter, in declaration order."""
-    return [(name, p.value.data) for name, p in model.named_parameters()]
+    """(name, values) pairs for every parameter of a SaliencyModel, in declaration order."""
+    return [(name, p.value.data) for name, p in model.parameters_by_name.items()]
 
 
 def apply_state(model, state: dict) -> None:
-    """Load a checkpoint dict into a model; names and shapes must match 1:1."""
-    params = dict(model.named_parameters())
+    """Load a checkpoint dict into a SaliencyModel; names and shapes must match 1:1."""
+    params = model.parameters_by_name
     missing = sorted(set(params) - set(state))
     extra = sorted(set(state) - set(params))
     if missing or extra:

@@ -120,7 +120,7 @@ class SaliencyModel(Module):
         self.decoder = SaliencyDecoder(
             rng, config.backbone.widths, config.level_sizes(), config.decoder
         )
-        self.assign_parameter_names()
+        self.parameters_by_name = self.assign_parameter_names()  # the tree is fixed from here on
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
         cube_values = np.asarray(cube_values, dtype=float)

@@ -48,10 +48,12 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def assign_parameter_names(self, prefix: str = "") -> None:
-        """Stamp each Parameter.name with its dotted attribute path."""
-        for path, p in self.named_parameters(prefix):
+    def assign_parameter_names(self, prefix: str = "") -> dict:
+        """Stamp each Parameter.name with its dotted attribute path; returns {path: Parameter}."""
+        named = dict(self.named_parameters(prefix))
+        for path, p in named.items():
             p.name = path
+        return named
 
 
 class Conv2d(Module):

@@ -2,8 +2,8 @@
 
 Tensors wrap numpy arrays (row-major, 64-bit by default). Differentiable ops are
 module-level functions; while a Tape is active they append a record per executed
-op, and Tape.backward replays those records once each, in reverse execution
-order, accumulating gradients into every Parameter that took part.
+op, and Tape.backward consumes those records, popping each once in reverse
+execution order, accumulating gradients into every Parameter that took part.
 
 Layout conventions: feature maps are (channels, height, width); token matrices
 are (tokens, channels); convolution is zero-padded cross-correlation, lowered
@@ -49,13 +49,19 @@ class Tensor:
 
 
 class Parameter:
-    """A named trainable tensor with a same-shaped gradient accumulator."""
+    """A named trainable tensor; its same-shaped gradient buffer is allocated on first use."""
 
     def __init__(self, value, name: str = "", trainable: bool = True):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = Tensor(np.zeros_like(self.value.data))
+        self._grad = None
         self.name = name
         self.trainable = trainable
+
+    @property
+    def grad(self) -> Tensor:
+        if self._grad is None:
+            self._grad = Tensor(np.zeros_like(self.value.data))
+        return self._grad
 
     @property
     def shape(self):
@@ -77,8 +83,8 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (output Tensor, input Tensors, backward fn)
-        self._params = []  # Parameters in first-use order
-        self._param_ids = set()
+        self._params = {}  # id -> Parameter, in first-use order
+        self._replayed = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -91,9 +97,7 @@ class Tape:
         return False
 
     def watch(self, param: Parameter) -> None:
-        if id(param) not in self._param_ids:
-            self._param_ids.add(id(param))
-            self._params.append(param)
+        self._params.setdefault(id(param), param)
 
     def record(self, out: Tensor, inputs, back) -> None:
         self._records.append((out, inputs, back))
@@ -104,29 +108,32 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into .grad of every watched Parameter.
 
-        Visits each recorded op exactly once, in reverse execution order. Each
-        output is recorded once and parameters are never outputs, so an op's
-        upstream gradient is dropped as soon as the op has consumed it.
+        Consumes the tape: pops each record as it replays it, in reverse order,
+        so an op's output and closure are freed once no record left refers to
+        them. A pending gradient holds its Tensor, so its id() stays unique.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        grads = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, back in reversed(self._records):
-            g = grads.pop(id(out), None)
-            if g is None:
+        if self._replayed:
+            raise RuntimeError("this tape was already replayed; record a new one")
+        self._replayed = True
+        grads = {id(loss): (loss, np.ones_like(loss.data))}
+        while self._records:
+            out, inputs, back = self._records.pop()
+            pending = grads.pop(id(out), None)
+            if pending is None:
                 continue  # not on a path to the loss
-            for inp, gi in zip(inputs, back(g)):
+            for inp, gi in zip(inputs, back(pending[1])):
                 if gi is None:
                     continue
                 acc = grads.get(id(inp))
-                # Rebind instead of mutating in place: backward functions may
-                # return views or the upstream array itself, and numpy turns
-                # 0-d results into immutable scalars.
-                grads[id(inp)] = gi if acc is None else acc + gi
-        for param in self._params:
-            acc = grads.get(id(param.value))
-            if acc is not None:
-                param.grad.data += acc
+                # Rebind, never add in place: backward functions may return views
+                # or the upstream array, and numpy makes 0-d results immutable.
+                grads[id(inp)] = (inp, gi if acc is None else acc[1] + gi)
+        for param in self._params.values():
+            pending = grads.get(id(param.value))
+            if pending is not None:
+                param.grad.data += pending[1]
 
     def first_non_finite(self):
         """Earliest recorded op whose output holds a NaN or infinity.
@@ -504,8 +511,9 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
 
     Lowered to im2col (Chellapilla et al. 2006): one grouped matmul of the
     (groups, C_out/groups, rows) kernel with the (groups, rows, H_out*W_out)
-    im2col, groups = C_in if depthwise else 1. Backward rebuilds the im2col,
-    which holds kh*kw copies of the input, rather than keep it on the tape.
+    im2col, groups = C_in if depthwise else 1. The tape keeps only x. The input
+    gradient is the transposed conv (Dumoulin & Visin 2016): g spread at the
+    stride, correlated at stride 1 with the flipped, per-group transposed kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3:
@@ -528,26 +536,26 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
     km = kernel.data.reshape(groups, c_out // groups, -1)  # rows (c, u, v), like im2col's
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
-    xp[:, ph : ph + h, pw : pw + w] = x.data
-    taps = [np.s_[:, u : u + s * ho : s, v : v + s * wo : s] for u in range(kh) for v in range(kw)]
 
-    def im2col():
-        cols = np.empty((c_in, kh * kw, ho, wo), dtype=xp.dtype)
-        for i, t in enumerate(taps):
-            cols[:, i] = xp[t]
-        return cols.reshape(groups, -1, ho * wo)
+    def im2col(a, transposed):
+        # (groups, rows, pixels) of x placed densely and sampled at stride s, or g spread at s
+        place, step, rows, cols = (s, 1, h, w) if transposed else (1, s, ho, wo)
+        padded = np.zeros((a.shape[0], h + kh - 1, w + kw - 1), dtype=a.dtype)
+        padded[:, ph : ph + h : place, pw : pw + w : place] = a
+        out = np.empty((a.shape[0], kh * kw, rows, cols), dtype=a.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                out[:, u * kw + v] = padded[:, u : u + step * rows : step, v : v + step * cols : step]
+        return out.reshape(groups, -1, rows * cols)
 
-    out = Tensor((km @ im2col()).reshape(c_out, ho, wo))
+    out = Tensor((km @ im2col(x.data, False)).reshape(c_out, ho, wo))
 
     def back(g):
         gm = g.reshape(groups, c_out // groups, ho * wo)
-        gk = gm @ im2col().transpose(0, 2, 1)
-        cols = (km.transpose(0, 2, 1) @ gm).reshape(c_in, kh * kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i, t in enumerate(taps):
-            gxp[t] += cols[:, i]
-        return gxp[:, ph : ph + h, pw : pw + w], gk.reshape(kernel.shape)
+        gk = gm @ im2col(x.data, False).transpose(0, 2, 1)
+        flipped = kernel.data[:, :, ::-1, ::-1].reshape(groups, c_out // groups, c_k, kh * kw)
+        kt = flipped.transpose(0, 2, 1, 3).reshape(groups, c_k, -1)  # rows (o, u, v)
+        return (kt @ im2col(g, True)).reshape(c_in, h, w), gk.reshape(kernel.shape)
 
     _push(out, (x, kernel), back)
     return out

@@ -153,7 +153,7 @@ def brute_conv2d(x, k, stride, ph, pw, depthwise):
     return out
 
 
-@pytest.mark.parametrize(
+CONV_CASES = pytest.mark.parametrize(
     "cin,cout,kh,kw,stride,depthwise",
     [
         (3, 4, 3, 3, 1, False),
@@ -166,15 +166,49 @@ def brute_conv2d(x, k, stride, ph, pw, depthwise):
         (3, 4, 1, 1, 2, False),
     ],
 )
-def test_conv2d_matches_bruteforce(cin, cout, kh, kw, stride, depthwise):
+
+
+def conv_case(cin, cout, kh, kw, depthwise):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(cin, 8, 9))
     kshape = (cout, 1, kh, kw) if depthwise else (cout, cin, kh, kw)
-    k = rng.normal(size=kshape)
+    return x, rng.normal(size=kshape)
+
+
+@CONV_CASES
+def test_conv2d_matches_bruteforce(cin, cout, kh, kw, stride, depthwise):
+    x, k = conv_case(cin, cout, kh, kw, depthwise)
     ph, pw = kh // 2, kw // 2
     got = T.conv2d(Tensor(x), Tensor(k), stride, depthwise=depthwise).data
     want = brute_conv2d(x, k, stride, ph, pw, depthwise)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@CONV_CASES
+def test_conv2d_gradients_are_adjoint(cin, cout, kh, kw, stride, depthwise):
+    # conv is linear in x and in k, so for L = <conv(x, k), G> the dot-product
+    # test gives <x, dL/dx> = <k, dL/dk> = L exactly, up to rounding
+    x, k = conv_case(cin, cout, kh, kw, depthwise)
+    px, pk = Parameter(x), Parameter(k)
+    with Tape() as tape:
+        y = T.conv2d(px, pk, stride, depthwise=depthwise)
+        weights = np.random.default_rng(18).normal(size=y.shape)
+        loss = T.sum_over(T.mul(y, weights))
+    tape.backward(loss)
+    assert px.grad.shape == x.shape and pk.grad.shape == k.shape
+    np.testing.assert_allclose(np.vdot(x, px.grad.data), loss.item(), rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(k, pk.grad.data), loss.item(), rtol=1e-12)
+
+
+def traced_held_bytes(build):
+    """Bytes still allocated, per tracemalloc, after build() runs under tracing."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
 
 
 def test_conv2d_keeps_no_im2col_on_the_tape():
@@ -191,6 +225,18 @@ def test_conv2d_keeps_no_im2col_on_the_tape():
         tracemalloc.stop()
     assert len(tape) == 1 and out.shape == x.shape
     assert held < 3 * x.data.nbytes
+
+
+def test_conv2d_keeps_no_padded_input_on_the_tape():
+    # the tape holds the output and the closure; x is on the tape already, and
+    # a zero-padded copy of it (1.13 x for 32x32 at 3x3) would be rebuilt
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(8, 32, 32)))
+    k = Parameter(rng.normal(size=(8, 8, 3, 3)))
+    with Tape() as tape:
+        out, held = traced_held_bytes(lambda: T.conv2d(x, k))
+    assert len(tape) == 1 and out.shape == x.shape
+    assert held < 1.5 * x.data.nbytes
 
 
 def test_conv2d_rejects_even_kernel_and_bad_channels():
@@ -369,6 +415,53 @@ def test_backward_visits_each_op_once_in_reverse_order():
     assert p.grad.data == pytest.approx(39.0)
 
 
+def test_backward_consumes_the_tape():
+    p = Parameter(np.array([1.0, 2.0]))
+    with Tape() as tape:
+        loss = T.sum_over(T.mul(p, p))
+    assert len(tape) == 2
+    tape.backward(loss)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(p.grad.data, [2.0, 4.0])
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(p.grad.data, [2.0, 4.0])
+
+
+def test_backward_releases_each_record_once_replayed():
+    # traced from before the forward pass: once the caller drops its
+    # references, the gradient buffer is all that is left of a 50-op chain
+    n = 100_000
+    p = Parameter(np.ones(n))
+
+    def forward_and_backward():
+        with Tape() as tape:
+            y = p
+            for _ in range(50):
+                y = T.mul(y, 1.0)
+            loss = T.sum_over(y)
+        tape.backward(loss)
+        return tape
+
+    tape, held = traced_held_bytes(forward_and_backward)
+    assert len(tape) == 0
+    assert held < 3 * n * p.value.data.itemsize
+    np.testing.assert_array_equal(p.grad.data, np.ones(n))
+
+
+def test_parameter_allocates_its_gradient_on_first_use():
+    p = Parameter(np.ones((2, 3)))
+    assert p._grad is None
+    with Tape():
+        T.mul(p, 2.0)
+    assert p._grad is None  # forward alone never allocates it
+    np.testing.assert_array_equal(p.grad.data, np.zeros((2, 3)))
+    p.grad.data[0, 0] = 5.0
+    assert p.grad.data[0, 0] == 5.0
+    p.zero_grad()
+    np.testing.assert_array_equal(p.grad.data, np.zeros((2, 3)))
+
+
 def test_backward_frees_each_gradient_once_consumed():
     # a 50-op chain needs a few live gradient arrays at a time, not one per op
     n = 100_000
@@ -516,6 +609,18 @@ PRIMITIVE_CASES = {
     "conv2d_depthwise_stride2": (
         lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2, depthwise=True), 2.0)),
         [(3, 5, 5), (3, 1, 3, 3)],
+    ),
+    "conv2d_stride2_mixed_parity": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2), T.conv2d(x, k, 2))),
+        [(2, 6, 5), (3, 2, 3, 3)],
+    ),
+    "conv2d_1x1_stride2": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2), T.conv2d(x, k, 2))),
+        [(3, 5, 6), (2, 3, 1, 1)],
+    ),
+    "conv2d_1x7_stride2": (
+        lambda x, k: scalarize(T.mul(T.conv2d(x, k, 2), T.conv2d(x, k, 2))),
+        [(2, 5, 6), (2, 2, 1, 7)],
     ),
     "channel_conv1d": (
         lambda x, k: scalarize(T.mul(T.channel_conv1d(x, k), T.channel_conv1d(x, k))),

@@ -15,19 +15,23 @@ Run from the repository root:
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from specsal.model import EncoderConfig, SaliencyModel, SpectralEncoder, demo_model_config
-from specsal.scenes import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's specsal, installed or not
+
+from specsal.model import EncoderConfig, SaliencyModel, SpectralEncoder, demo_model_config  # noqa: E402
+from specsal.scenes import (  # noqa: E402
     reconstruction_demo_scene_spec,
     synth_scene,
     training_demo_scene_spec,
 )
-from specsal.training import TrainConfig, fit_reconstruction, train_loop
+from specsal.training import TrainConfig, fit_reconstruction, train_loop  # noqa: E402
 
-REFERENCE_DIR = Path(__file__).resolve().parent.parent / "tests" / "reference"
+REFERENCE_DIR = ROOT / "tests" / "reference"
 
 
 def training_demo_trajectory() -> dict:
