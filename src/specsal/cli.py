@@ -129,9 +129,10 @@ def _cmd_infer(args) -> int:
             )
         config_path = sidecar
     config = model_config_from_dict(load_json_document(config_path))
+    cube = read_cube(args.cube)
+    config.check_cube(cube.data.shape)  # before building a model of that size
     model = SaliencyModel(None, config)  # every weight comes from the checkpoint
     apply_state(model, load_checkpoint(args.checkpoint))
-    cube = read_cube(args.cube)
     saliency = model(cube.data).saliency_map()
     write_pgm(_saliency_to_pgm(saliency), args.out)
     if args.float_out is not None:
@@ -178,7 +179,7 @@ def _cmd_train(args) -> int:
         if args.model_config
         else demo_model_config(bands=first.bands, input_size=first.height)
     )
-
+    model_config.check_cube(first.data.shape)  # before building a model of that size
     model = SaliencyModel(np.random.default_rng(config.seed), model_config)
     log = io.StringIO()
     reports = train_loop(
@@ -248,15 +249,15 @@ def _cmd_stats(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
 
+    # every table is computed before the first file is written
     counts = attribute_histogram(manifest)
+    bins = foreground_scale_bins(manifest, args.manifest)
+    heat = centroid_heatmap(manifest, args.grid, args.manifest)
+
     attribute_lines = ["attribute,count"] + [f"{name},{counts[name]}" for name in sorted(counts)]
     write_text_atomic(out_dir / "attributes.csv", "\n".join(attribute_lines) + "\n")
-
-    bins = foreground_scale_bins(manifest, args.manifest)
     bin_lines = ["low,high,count"] + [f"{lo},{hi},{n}" for lo, hi, n in bins]
     write_text_atomic(out_dir / "scale_bins.csv", "\n".join(bin_lines) + "\n")
-
-    heat = centroid_heatmap(manifest, args.grid, args.manifest)
     heat_lines = ["row,col,count"] + [
         f"{row},{col},{heat[row, col]}"
         for row in range(args.grid)

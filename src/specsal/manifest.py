@@ -30,6 +30,9 @@ SPLITS = ("train", "test")
 
 SCALE_BIN_EDGES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 
+# Largest centroid heatmap side (a 1024 x 1024 table is about a million rows).
+MAX_HEATMAP_GRID = 1024
+
 
 @dataclass
 class ManifestEntry:
@@ -165,8 +168,10 @@ def centroid_heatmap(manifest: DatasetManifest, grid: int, manifest_path) -> np.
     Returns (grid, grid) int64 counts indexed [row, col]; counts sum to the
     number of non-empty masks.
     """
-    if grid < 1:
-        raise ManifestError(f"heatmap grid must be >= 1, got {grid}")
+    if not 1 <= grid <= MAX_HEATMAP_GRID:
+        raise ManifestError(
+            f"heatmap grid must be between 1 and {MAX_HEATMAP_GRID}, got {grid}"
+        )
     counts = np.zeros((grid, grid), dtype=np.int64)
     for entry in manifest.entries:
         mask = read_mask(resolve_path(manifest_path, entry.mask))

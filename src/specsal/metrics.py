@@ -129,14 +129,13 @@ class MetricReport:
     avg_f1: float | None
     auc: float | None
     cc: float | None
-    threshold_protocol: str = THRESHOLD_PROTOCOL
     errors: tuple = ()
 
     COLUMNS = ("mae", "pre", "rec", "avg_f1", "auc", "cc")
 
     def to_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in self.COLUMNS}
-        doc["threshold_protocol"] = self.threshold_protocol
+        doc["threshold_protocol"] = THRESHOLD_PROTOCOL
         if self.errors:
             doc["errors"] = list(self.errors)
         return doc

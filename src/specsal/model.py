@@ -1,7 +1,7 @@
 """Full pipeline assembly: band grouping, spectral encoder, backbone, decoder.
 
 The model consumes a raw reflectance cube (bands, H, W) as a plain array,
-averages every ``band_group`` adjacent bands (a fixed, parameter-free
+averages every ``BAND_GROUP`` adjacent bands (a fixed, parameter-free
 reduction), and runs the taped network on the grouped cube. It returns every
 supervised quantity: the full-resolution saliency map, per-level maps and
 three-way labelings, the coarse global grid, and the reconstructed cube.
@@ -16,13 +16,8 @@ import numpy as np
 from . import tensor as T
 from .exceptions import ConfigError, ShapeError
 from .nn import Module
-from .saliency_net import (
-    BackboneConfig,
-    DecoderConfig,
-    HighResBackbone,
-    SaliencyDecoder,
-)
-from .spectral_attention import EncoderConfig, SpectralEncoder
+from .saliency_net import DecoderConfig, HighResBackbone, SaliencyDecoder
+from .spectral_attention import BAND_GROUP, EncoderConfig, SpectralEncoder
 from .tensor import Tensor
 
 
@@ -39,13 +34,21 @@ def group_bands(values: np.ndarray, factor: int) -> np.ndarray:
 
 @dataclass
 class ModelConfig:
+    """The settings a caller varies; the branch layout is fixed structure.
+
+    ``stem_stride`` is the backbone stem's stride; the saliency map is
+    upsampled by it back to ``input_size``.
+    """
+
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
+    stem_stride: int = 2
     input_size: int = 64
 
     def __post_init__(self):
-        need = 8 * self.backbone.stem_stride
+        if self.stem_stride < 1:
+            raise ConfigError(f"stem stride must be >= 1, got {self.stem_stride}")
+        need = 8 * self.stem_stride
         if self.input_size < need or self.input_size % need:
             raise ConfigError(
                 f"input size {self.input_size} must be a positive multiple of {need}"
@@ -57,8 +60,17 @@ class ModelConfig:
                     f"decoder grid {grid} shares no integer factor with level size {size}"
                 )
 
+    @property
+    def cube_shape(self) -> tuple:
+        """The (bands, H, W) raw cube the model consumes."""
+        return (self.encoder.bands, self.input_size, self.input_size)
+
+    def check_cube(self, shape) -> None:
+        if tuple(shape) != self.cube_shape:
+            raise ShapeError(f"model expects a {self.cube_shape} cube, got {tuple(shape)}")
+
     def level_sizes(self) -> list:
-        base = self.input_size // self.backbone.stem_stride
+        base = self.input_size // self.stem_stride
         return [base // (1 << i) for i in range(4)]
 
 
@@ -69,9 +81,9 @@ def tiny_model_config() -> ModelConfig:
     two grouped bands would give constant 1x1 softmaxes with zero gradient).
     """
     return ModelConfig(
-        encoder=EncoderConfig(bands=8, band_group=4, heads=1, blocks=1),
-        backbone=BackboneConfig(stem_stride=1),
+        encoder=EncoderConfig(bands=8, heads=1, blocks=1),
         decoder=DecoderConfig(grid=2, attention_width=16),
+        stem_stride=1,
         input_size=8,
     )
 
@@ -79,9 +91,9 @@ def tiny_model_config() -> ModelConfig:
 def demo_model_config(bands: int = 8, input_size: int = 32) -> ModelConfig:
     """Desk-scale model for the seeded training demonstrations (32x32x8)."""
     return ModelConfig(
-        encoder=EncoderConfig(bands=bands, band_group=4, heads=1, blocks=1),
-        backbone=BackboneConfig(stem_stride=1),
+        encoder=EncoderConfig(bands=bands, heads=1, blocks=1),
         decoder=DecoderConfig(grid=4, attention_width=16),
+        stem_stride=1,
         input_size=input_size,
     )
 
@@ -114,24 +126,18 @@ class SaliencyModel(Module):
     def __init__(self, rng: np.random.Generator | None, config: ModelConfig):
         self.config = config
         self.encoder = SpectralEncoder(rng, config.encoder)
-        self.backbone = HighResBackbone(
-            rng, config.encoder.working_bands, config.backbone
-        )
-        self.decoder = SaliencyDecoder(
-            rng, config.backbone.widths, config.level_sizes(), config.decoder
-        )
+        self.backbone = HighResBackbone(rng, config.encoder.working_bands, config.stem_stride)
+        self.decoder = SaliencyDecoder(rng, config.level_sizes(), config.decoder)
         self.parameters_by_name = self.assign_parameter_names()  # the tree is fixed from here on
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
         cube_values = np.asarray(cube_values, dtype=float)
-        expect = (self.config.encoder.bands, self.config.input_size, self.config.input_size)
-        if cube_values.shape != expect:
-            raise ShapeError(f"model expects a {expect} cube, got {cube_values.shape}")
-        grouped = group_bands(cube_values, self.config.encoder.band_group)
+        self.config.check_cube(cube_values.shape)
+        grouped = group_bands(cube_values, BAND_GROUP)
         features, restored = self.encoder(Tensor(grouped))
         pyramid = self.backbone(features)
         block_map, predictions, trimaps = self.decoder(pyramid)
-        stride = self.config.backbone.stem_stride
+        stride = self.config.stem_stride
         saliency = (
             T.upsample_nearest(predictions[0], stride) if stride > 1 else predictions[0]
         )

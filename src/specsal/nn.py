@@ -114,13 +114,12 @@ class ChannelConv1d(Module):
 class ChannelNorm(Module):
     """Per-channel spatial standardization with learnable affine."""
 
-    def __init__(self, channels: int, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, channels: int):
         self.gain = Parameter(np.ones(channels), "gain")
         self.bias = Parameter(np.zeros(channels), "bias")
 
     def __call__(self, x) -> Tensor:
-        return T.channel_norm(x, self.gain, self.bias, self.eps)
+        return T.channel_norm(x, self.gain, self.bias)
 
 
 class ConvNorm(Module):

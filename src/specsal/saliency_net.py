@@ -46,25 +46,8 @@ def resize_to(x, height: int, width: int) -> Tensor:
     raise ShapeError(f"no integer factor resizes ({h},{w}) to ({height},{width})")
 
 
-@dataclass
-class BackboneConfig:
-    """Four-branch pyramid: widths per branch, stem stride, depth, fusion."""
-
-    widths: tuple[int, ...] = (8, 16, 32, 64)
-    stem_stride: int = 2
-    blocks_per_branch: int = 1
-    fusion_stages: int = 1
-
-    def __post_init__(self):
-        self.widths = tuple(self.widths)
-        if len(self.widths) != 4:
-            raise ConfigError(f"backbone needs exactly 4 branch widths, got {self.widths}")
-        if any(b <= a for a, b in zip(self.widths, self.widths[1:])):
-            raise ConfigError(f"branch widths must strictly increase, got {self.widths}")
-        if any(w % 2 for w in self.widths):
-            raise ConfigError(f"branch widths must be even (decoder splits them), got {self.widths}")
-        if self.stem_stride < 1 or self.blocks_per_branch < 1 or self.fusion_stages < 0:
-            raise ConfigError(f"bad backbone config: {self}")
+# Channels of the four branches, finest first; even, so the decoder can halve them.
+BRANCH_WIDTHS = (8, 16, 32, 64)
 
 
 class CrossResolutionFusion(Module):
@@ -74,10 +57,11 @@ class CrossResolutionFusion(Module):
     resized to the target resolution, summed, and rectified.
     """
 
-    def __init__(self, rng, widths):
+    def __init__(self, rng):
+        w = BRANCH_WIDTHS
         # flat [target * 4 + source] so the module walker sees every child
         self.maps = [
-            ConvNorm(rng, widths[source], widths[target], 1)
+            ConvNorm(rng, w[source], w[target], 1)
             for target in range(4)
             for source in range(4)
         ]
@@ -95,51 +79,37 @@ class CrossResolutionFusion(Module):
 
 
 class HighResBackbone(Module):
-    """Stem, three stride-2 descents, per-branch residual blocks, fusion.
+    """Stem, three stride-2 descents, one residual block per branch, fusion.
 
-    Fusion-stage parameters are drawn from the rng last, so a fusion-free
-    twin built from the same seed shares every other weight bit for bit
-    (useful for ablating whether cross-resolution mixing is live).
+    The fusion weights are drawn from the rng last.
     """
 
-    def __init__(self, rng, in_channels: int, config: BackboneConfig):
-        w = config.widths
-        self.config = config
-        self.stem = ConvNormRelu(rng, in_channels, w[0], 3, stride=config.stem_stride)
+    def __init__(self, rng, in_channels: int, stem_stride: int):
+        w = BRANCH_WIDTHS
+        self.stem_stride = stem_stride
+        self.stem = ConvNormRelu(rng, in_channels, w[0], 3, stride=stem_stride)
         self.descend = [
             ConvNormRelu(rng, w[i], w[i + 1], 3, stride=2) for i in range(3)
         ]
-        # flat [branch * blocks_per_branch + depth]
-        self.stages = [
-            ResidualBlock(rng, w[branch])
-            for branch in range(4)
-            for _ in range(config.blocks_per_branch)
-        ]
-        self.fusions = [CrossResolutionFusion(rng, w) for _ in range(config.fusion_stages)]
+        self.stages = [ResidualBlock(rng, width) for width in w]
+        self.fusion = CrossResolutionFusion(rng)
 
-    def __call__(self, x):
+    def branches(self, x):
+        """The four branch features before cross-resolution fusion."""
         _, h, w = x.shape
-        need = 8 * self.config.stem_stride
+        need = 8 * self.stem_stride
         if h % need or w % need:
             raise ShapeError(
                 f"backbone input {h}x{w} must be divisible by {need} "
-                f"(8 branches-of-2 below a stride-{self.config.stem_stride} stem)"
+                f"(8 branches-of-2 below a stride-{self.stem_stride} stem)"
             )
         feats = [self.stem(x)]
         for down in self.descend:
             feats.append(down(feats[-1]))
-        depth = self.config.blocks_per_branch
-        feats = [
-            self._run_branch(feats[branch], branch, depth) for branch in range(4)
-        ]
-        for fusion in self.fusions:
-            feats = fusion(feats)
-        return feats
+        return [stage(feat) for stage, feat in zip(self.stages, feats)]
 
-    def _run_branch(self, x, branch, depth):
-        for k in range(depth):
-            x = self.stages[branch * depth + k](x)
-        return x
+    def __call__(self, x):
+        return self.fusion(self.branches(x))
 
 
 class CrossScaleFusion(Module):
@@ -228,12 +198,12 @@ class GlobalSaliencyHead(Module):
     two-layer MLP, and squashed to a (1, g, g) map in (0,1).
     """
 
-    def __init__(self, rng, widths, level_sizes, grid: int, attention_width: int):
+    def __init__(self, rng, level_sizes, grid: int, attention_width: int):
         self.grid = grid
         self.attention_width = attention_width
         self.rearrange = []
         adapt = []
-        for channels, size in zip(widths, level_sizes):
+        for channels, size in zip(BRANCH_WIDTHS, level_sizes):
             if size % grid == 0:
                 factor = size // grid
                 mode = ("keep", 1) if factor == 1 else ("unshuffle", factor)
@@ -252,7 +222,7 @@ class GlobalSaliencyHead(Module):
             self.rearrange.append(mode)
             adapt.append(ConvNormRelu(rng, in_channels, channels, 3))
         self.adapt = adapt
-        self.project = Linear(rng, sum(widths), attention_width)
+        self.project = Linear(rng, sum(BRANCH_WIDTHS), attention_width)
         self.to_query = Linear(rng, attention_width, attention_width)
         self.to_key = Linear(rng, attention_width, attention_width)
         self.to_value = Linear(rng, attention_width, attention_width)
@@ -316,15 +286,16 @@ class SaliencyDecoder(Module):
     deepest level has no deeper neighbour and skips both borrowings.
     """
 
-    def __init__(self, rng, widths, level_sizes, config: DecoderConfig):
+    def __init__(self, rng, level_sizes, config: DecoderConfig):
+        w = BRANCH_WIDTHS
         self.merge = [
-            CrossScaleFusion(rng, widths[i], widths[i + 1] if i < 3 else None)
+            CrossScaleFusion(rng, w[i], w[i + 1] if i < 3 else None)
             for i in range(4)
         ]
         self.global_head = GlobalSaliencyHead(
-            rng, widths, level_sizes, config.grid, config.attention_width
+            rng, level_sizes, config.grid, config.attention_width
         )
-        self.heads = [TrimapHead(rng, widths[i]) for i in range(4)]
+        self.heads = [TrimapHead(rng, width) for width in w]
 
     def __call__(self, feats):
         block_map = self.global_head(feats)

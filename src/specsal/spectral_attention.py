@@ -1,7 +1,7 @@
 """Spectral token attention encoder with a band-reconstruction head.
 
 The encoder works on band-grouped cubes: the caller averages each run of
-``band_group`` adjacent bands first, so attention runs over a short channel
+``BAND_GROUP`` adjacent bands first, so attention runs over a short channel
 axis (tokens are pixels, attention mixes channels, not positions). Cost per
 block is O(HW * C'^2) instead of the O((HW)^2) of spatial attention, which is
 what makes whole-cube attention affordable at desk scale.
@@ -26,16 +26,20 @@ from .exceptions import ConfigError
 from .nn import ChannelConv1d, Conv2d, Linear, Module
 from .tensor import Parameter, Tensor
 
+# Adjacent bands averaged into one before the encoder (a fixed reduction).
+BAND_GROUP = 4
 
-def eca_kernel_size(channels: int, gamma: float = 2.0, offset: float = 1.0) -> int:
+
+def eca_kernel_size(channels: int) -> int:
     """Channel-adaptive odd kernel size for the pooled gate's 1-d conv.
 
-    Nearest odd integer to |log2(C)/gamma + offset/gamma|, never below 1,
-    ties resolved upward. Wider spectra get a wider mixing window.
+    Nearest odd integer to log2(C)/2 + 1/2 (ECA's gamma = 2 and b = 1),
+    never below 1, ties resolved upward. Wider spectra get a wider mixing
+    window.
     """
     if channels < 1:
         raise ConfigError(f"channel count must be positive, got {channels}")
-    target = abs(math.log2(channels) / gamma + offset / gamma)
+    target = math.log2(channels) / 2.0 + 0.5
     below = 2 * math.floor((target - 1.0) / 2.0) + 1
     above = below + 2
     nearest = above if (above - target) <= (target - below) else below
@@ -149,21 +153,20 @@ class EncoderConfig:
     """Spectral encoder hyperparameters.
 
     ``bands`` is the cube's native band count; the encoder consumes the cube
-    after grouping runs of ``band_group`` bands and reconstructs all ``bands``
+    after grouping runs of ``BAND_GROUP`` bands and reconstructs all ``bands``
     of them again through the restore head.
     """
 
     bands: int = 32
-    band_group: int = 4
     heads: int = 2
     blocks: int = 2
 
     def __post_init__(self):
-        if self.bands < 1 or self.band_group < 1 or self.heads < 1 or self.blocks < 1:
+        if self.bands < 1 or self.heads < 1 or self.blocks < 1:
             raise ConfigError(f"encoder config fields must be positive: {self}")
-        if self.bands % self.band_group != 0:
+        if self.bands % BAND_GROUP != 0:
             raise ConfigError(
-                f"band_group {self.band_group} does not divide {self.bands} bands"
+                f"band group {BAND_GROUP} does not divide {self.bands} bands"
             )
         if self.working_bands % self.heads != 0:
             raise ConfigError(
@@ -172,7 +175,7 @@ class EncoderConfig:
 
     @property
     def working_bands(self) -> int:
-        return self.bands // self.band_group
+        return self.bands // BAND_GROUP
 
 
 class SpectralEncoder(Module):

@@ -26,8 +26,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or np.float64)
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
 
     @property
     def shape(self):
@@ -680,7 +680,7 @@ def downsample_avg(x, factor: int) -> Tensor:
     return out
 
 
-def channel_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def channel_norm(x, gain, bias) -> Tensor:
     """Standardize each channel over its spatial positions, then apply affine.
 
     Replaces batch normalization at batch size 1. gain/bias have shape (C,).
@@ -693,7 +693,7 @@ def channel_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     m = mean_over(x, axes=(1, 2), keepdims=True)
     centered = sub(x, m)
     var = mean_over(mul(centered, centered), axes=(1, 2), keepdims=True)
-    inv = power(add(var, eps), -0.5)
+    inv = power(add(var, 1e-5), -0.5)  # epsilon 1e-5 keeps constant channels finite
     g3 = reshape(gain, (c, 1, 1))
     b3 = reshape(bias, (c, 1, 1))
     return add(mul(mul(centered, inv), g3), b3)

@@ -17,6 +17,7 @@ import numpy as np
 from .exceptions import ConfigError, NumericError
 from .losses import compute_losses, mean_absolute_error
 from .model import group_bands
+from .spectral_attention import BAND_GROUP
 from .tensor import Tape, Tensor
 
 
@@ -144,7 +145,7 @@ def fit_reconstruction(encoder, cube_values, steps: int, learning_rate: float = 
     error). Used to show the restoration head actually learns the spectra.
     """
     cube_values = np.asarray(cube_values, dtype=float)
-    grouped = group_bands(cube_values, encoder.config.band_group)
+    grouped = group_bands(cube_values, BAND_GROUP)
     optimizer = AdamOptimizer(encoder.parameters(), learning_rate)
     history = []
     for step in range(1, steps + 1):
@@ -169,8 +170,8 @@ def fit_reconstruction(encoder, cube_values, steps: int, learning_rate: float = 
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def jitter_parameters(parameters, scale: float = 1e-3, seed: int = 0) -> None:
-    """Nudge every parameter so the model sits at a generic point.
+def jitter_parameters(parameters, seed: int = 0) -> None:
+    """Nudge every parameter by up to 1e-3 so the model sits at a generic point.
 
     Symmetric initialization puts some activations exactly on relu kinks
     (zero-init biases plus exactly-mean-free normalized maps cancel to 0 on
@@ -180,7 +181,7 @@ def jitter_parameters(parameters, scale: float = 1e-3, seed: int = 0) -> None:
     """
     rng = np.random.default_rng(seed)
     for p in parameters:
-        p.value.data += rng.uniform(-scale, scale, size=p.value.data.shape)
+        p.value.data += rng.uniform(-1e-3, 1e-3, size=p.value.data.shape)
 
 
 def parameter_group(name: str) -> str:
@@ -223,8 +224,7 @@ def _central_difference(loss_builder, values, idx, step):
     return (upper - lower) / (2.0 * step)
 
 
-def grad_check_suite(named_parameters, loss_builder, samples_per_group: int = 20,
-                     step: float = 1e-5, seed: int = 0):
+def grad_check_suite(named_parameters, loss_builder, samples_per_group: int = 20, seed: int = 0):
     """Tape gradients vs. central finite differences, sampled per group.
 
     ``loss_builder`` must rebuild the scalar loss from the parameters' current
@@ -240,6 +240,7 @@ def grad_check_suite(named_parameters, loss_builder, samples_per_group: int = 20
     swapped for other coordinates of the same group; a genuinely wrong tape
     gradient keeps its consistent finite difference and is still reported.
     """
+    step = 1e-5  # the probe half-width
     params = list(named_parameters)
     for _, p in params:
         p.zero_grad()

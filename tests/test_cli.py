@@ -437,3 +437,33 @@ def test_negative_seed_or_empty_audit_exits_two_before_any_work(command, flags, 
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("infer", []),
+        ("train", []),
+        ("stats", ["--grid", "0"]),
+        ("stats", ["--grid", "10000000000"]),
+    ],
+    ids=["infer-config-size", "train-config-size", "stats-grid-zero", "stats-grid-huge"],
+)
+def test_oversized_or_invalid_settings_exit_two_writing_nothing(command, flags, tmp_path, workspace, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"encoder": {"bands": 8}, "input_size": 2**40}))
+    out = tmp_path / "out"
+    argv = {
+        "infer": ["infer", "--cube", str(workspace / "scene1.hsv2"),
+                  "--checkpoint", str(workspace / "model.ckpt"), "--config", str(config),
+                  "--out", str(out / "p.pgm"), "--float-out", str(out / "p.f32")],
+        "train": ["train", "--manifest", str(workspace / "manifest.json"),
+                  "--model-config", str(config), "--steps", "1",
+                  "--out", str(out / "m.ckpt"), "--log", str(out / "m.jsonl")],
+        "stats": ["stats", "--manifest", str(workspace / "manifest.json"), "--out-dir", str(out)],
+    }[command]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -27,6 +27,19 @@ def test_model_config_rejects_unknown_keys():
         model_config_from_dict({"input_sze": 64})
     with pytest.raises(ConfigError, match="encoder"):
         model_config_from_dict({"encoder": {"band": 8}})
+    # a demo sidecar written while the branch layout and band group were settable
+    old_sidecar = {
+        "backbone": {"blocks_per_branch": 1, "fusion_stages": 1, "stem_stride": 1,
+                     "widths": [8, 16, 32, 64]},
+        "decoder": {"attention_width": 16, "grid": 4},
+        "encoder": {"band_group": 4, "bands": 8, "blocks": 1, "heads": 1},
+        "input_size": 32,
+    }
+    with pytest.raises(ConfigError, match=r"unknown keys \['backbone'\]"):
+        model_config_from_dict(old_sidecar)
+    del old_sidecar["backbone"]
+    with pytest.raises(ConfigError, match=r"model config.encoder: unknown keys \['band_group'\]"):
+        model_config_from_dict(old_sidecar)
 
 
 def test_model_config_rejects_wrong_shapes():

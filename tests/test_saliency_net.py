@@ -17,7 +17,6 @@ from specsal.model import (
 )
 from specsal.nn import ChannelNorm, Conv2d, Module
 from specsal.saliency_net import (
-    BackboneConfig,
     CrossScaleFusion,
     DecoderConfig,
     GlobalSaliencyHead,
@@ -44,7 +43,7 @@ def test_resize_to_cases():
 
 
 def test_backbone_shape_contract():
-    backbone = HighResBackbone(np.random.default_rng(0), 8, BackboneConfig())
+    backbone = HighResBackbone(np.random.default_rng(0), 8, stem_stride=2)
     feats = backbone(Tensor(np.random.default_rng(1).uniform(0, 1, (8, 64, 64))))
     shapes = [f.shape for f in feats]
     assert shapes == [(8, 32, 32), (16, 16, 16), (32, 8, 8), (64, 4, 4)]
@@ -53,41 +52,28 @@ def test_backbone_shape_contract():
 
 
 def test_backbone_divisibility_error():
-    backbone = HighResBackbone(np.random.default_rng(0), 4, BackboneConfig(stem_stride=1))
+    backbone = HighResBackbone(np.random.default_rng(0), 4, stem_stride=1)
     with pytest.raises(ShapeError, match="divisible"):
         backbone(Tensor(np.ones((4, 12, 12))))
 
 
-def test_backbone_config_validation():
-    with pytest.raises(ConfigError):
-        BackboneConfig(widths=(8, 16, 32))
-    with pytest.raises(ConfigError):
-        BackboneConfig(widths=(8, 8, 32, 64))
-    with pytest.raises(ConfigError):
-        BackboneConfig(widths=(7, 16, 32, 64))  # odd width cannot split
-
-
 def test_cross_resolution_fusion_is_live():
-    """A fusion-free twin from the same seed shares all other weights, so any
-    output difference is attributable to the fusion stage alone."""
-    with_fusion = HighResBackbone(
-        np.random.default_rng(5), 4, BackboneConfig(stem_stride=1, fusion_stages=1)
-    )
-    without = HighResBackbone(
-        np.random.default_rng(5), 4, BackboneConfig(stem_stride=1, fusion_stages=0)
-    )
-    np.testing.assert_array_equal(
-        with_fusion.stem.conv.weight.value.data, without.stem.conv.weight.value.data
-    )
-    np.testing.assert_array_equal(
-        with_fusion.stages[3].first.conv.weight.value.data,
-        without.stages[3].first.conv.weight.value.data,
-    )
+    """The backbone's output differs from the same module's branch features
+    before fusion, and every fused branch hears from every other branch."""
+    backbone = HighResBackbone(np.random.default_rng(5), 4, stem_stride=1)
     x = Tensor(np.random.default_rng(6).uniform(0, 1, (4, 16, 16)))
-    fused = with_fusion(x)
-    plain = without(x)
-    for a, b in zip(fused, plain):
+    branches = backbone.branches(x)
+    fused = backbone(x)
+    for a, b in zip(fused, branches):
+        assert a.shape == b.shape
         assert np.abs(a.data - b.data).max() > 0
+    for source in range(4):
+        nudged = list(branches)
+        nudged[source] = T.mul(branches[source], 2.0)
+        refused = backbone.fusion(nudged)
+        for target in range(4):
+            if target != source:
+                assert np.abs(refused[target].data - fused[target].data).max() > 0
 
 
 def test_cross_scale_fusion_shapes():
@@ -177,7 +163,6 @@ def test_block_ground_truth_extremes_and_errors():
 def _tiny_head(seed=18):
     return GlobalSaliencyHead(
         np.random.default_rng(seed),
-        widths=(8, 16, 32, 64),
         level_sizes=(8, 4, 2, 1),
         grid=2,
         attention_width=16,
@@ -218,7 +203,6 @@ def test_global_head_rejects_incompatible_grid():
     with pytest.raises(ConfigError):
         GlobalSaliencyHead(
             np.random.default_rng(22),
-            widths=(8, 16, 32, 64),
             level_sizes=(12, 6, 3, 1),
             grid=8,
             attention_width=16,
@@ -253,6 +237,9 @@ def test_model_config_validation():
         ModelConfig(input_size=20)  # not a multiple of 16 with stem 2
     with pytest.raises(ConfigError):
         ModelConfig(decoder=DecoderConfig(grid=6), input_size=64)
+    with pytest.raises(ConfigError, match="stem stride"):
+        ModelConfig(stem_stride=0)
+    assert ModelConfig(stem_stride=1, input_size=8).cube_shape == (32, 8, 8)
     assert tiny_model_config().level_sizes() == [8, 4, 2, 1]
     assert default_model_config().level_sizes() == [32, 16, 8, 4]
 

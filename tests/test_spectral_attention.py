@@ -163,14 +163,14 @@ def test_block_gradients_match_finite_differences():
 
 def test_encoder_config_validation():
     with pytest.raises(ConfigError):
-        EncoderConfig(bands=10, band_group=4)
+        EncoderConfig(bands=10)
     with pytest.raises(ConfigError):
-        EncoderConfig(bands=32, band_group=4, heads=3)
-    assert EncoderConfig(bands=8, band_group=4, heads=2).working_bands == 2
+        EncoderConfig(bands=32, heads=3)
+    assert EncoderConfig(bands=8, heads=2).working_bands == 2
 
 
 def test_encoder_returns_features_and_restored_bands():
-    config = EncoderConfig(bands=8, band_group=4, heads=2, blocks=1)
+    config = EncoderConfig(bands=8, heads=2, blocks=1)
     encoder = SpectralEncoder(np.random.default_rng(12), config)
     x = Tensor(np.random.default_rng(13).uniform(0.0, 1.0, (2, 6, 6)))
     features, restored = encoder(x)

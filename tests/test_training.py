@@ -257,7 +257,7 @@ def test_gradcheck_full_tiny_model_within_tolerance():
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(3), config)
     model.assign_parameter_names()
-    jitter_parameters(model.parameters(), scale=1e-3, seed=0)
+    jitter_parameters(model.parameters(), seed=0)
     rng = np.random.default_rng(7)
     cube = rng.random((config.encoder.bands, 8, 8))
     mask = (rng.random((8, 8)) > 0.6).astype(float)
@@ -327,9 +327,9 @@ def test_jitter_is_seeded_and_bounded():
         return [Parameter(Tensor(np.zeros(100)), name="p")]
 
     a, b, c = fresh(), fresh(), fresh()
-    jitter_parameters(a, scale=1e-3, seed=0)
-    jitter_parameters(b, scale=1e-3, seed=0)
-    jitter_parameters(c, scale=1e-3, seed=1)
+    jitter_parameters(a, seed=0)
+    jitter_parameters(b, seed=0)
+    jitter_parameters(c, seed=1)
     np.testing.assert_array_equal(a[0].value.data, b[0].value.data)
     assert not np.array_equal(a[0].value.data, c[0].value.data)
     assert np.abs(a[0].value.data).max() <= 1e-3
