@@ -76,7 +76,7 @@ def load_checkpoint(path) -> dict:
 
 def model_state(model):
     """(name, values) pairs for every parameter of a SaliencyModel, in declaration order."""
-    return [(name, p.value.data) for name, p in model.parameters_by_name.items()]
+    return [(name, p.data) for name, p in model.parameters_by_name.items()]
 
 
 def apply_state(model, state: dict) -> None:
@@ -90,10 +90,10 @@ def apply_state(model, state: dict) -> None:
         )
     for name, p in params.items():
         values = state[name]
-        if tuple(values.shape) != tuple(p.value.data.shape):
+        if values.shape != p.shape:
             raise CheckpointError(
                 f"parameter {name}: checkpoint shape {values.shape} "
-                f"!= model shape {p.value.data.shape}"
+                f"!= model shape {p.shape}"
             )
     for name, p in params.items():
-        p.value.data[...] = state[name]
+        p.data[...] = state[name]

@@ -163,23 +163,16 @@ def _cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     examples = _load_examples(manifest, args.manifest, args.split)
     first = examples[0][1]
-    if first.height != first.width:
-        raise ShapeError(
-            f"entry {examples[0][0].id}: training needs square cubes, got "
-            f"{first.height}x{first.width}"
-        )
-    for entry, cube, _ in examples:
-        if (cube.bands, cube.height, cube.width) != (first.bands, first.height, first.width):
-            raise ShapeError(
-                f"entry {entry.id}: cube {cube.data.shape} differs from first "
-                f"entry's {first.data.shape}"
-            )
     model_config = (
         model_config_from_dict(load_json_document(args.model_config))
         if args.model_config
         else demo_model_config(bands=first.bands, input_size=first.height)
     )
-    model_config.check_cube(first.data.shape)  # before building a model of that size
+    for entry, cube, _ in examples:  # before building a model of that size
+        try:
+            model_config.check_cube(cube.data.shape)
+        except ShapeError as err:
+            raise ShapeError(f"entry {entry.id}: {err}") from err
     model = SaliencyModel(np.random.default_rng(config.seed), model_config)
     log = io.StringIO()
     reports = train_loop(

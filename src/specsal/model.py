@@ -128,7 +128,7 @@ class SaliencyModel(Module):
         self.encoder = SpectralEncoder(rng, config.encoder)
         self.backbone = HighResBackbone(rng, config.encoder.working_bands, config.stem_stride)
         self.decoder = SaliencyDecoder(rng, config.level_sizes(), config.decoder)
-        self.parameters_by_name = self.assign_parameter_names()  # the tree is fixed from here on
+        self.parameters_by_name = dict(self.named_parameters())  # the tree is fixed from here on
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
         cube_values = np.asarray(cube_values, dtype=float)

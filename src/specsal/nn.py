@@ -38,6 +38,7 @@ class Module:
                         yield f"{name}.{i}", item
 
     def named_parameters(self, prefix: str = ""):
+        """(dotted attribute path, Parameter) pairs: the only place a parameter is named."""
         for name, child in self._children():
             path = f"{prefix}.{name}" if prefix else name
             if isinstance(child, Parameter):
@@ -47,13 +48,6 @@ class Module:
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
-
-    def assign_parameter_names(self, prefix: str = "") -> dict:
-        """Stamp each Parameter.name with its dotted attribute path; returns {path: Parameter}."""
-        named = dict(self.named_parameters(prefix))
-        for path, p in named.items():
-            p.name = path
-        return named
 
 
 class Conv2d(Module):
@@ -75,8 +69,8 @@ class Conv2d(Module):
         self.stride = stride
         self.depthwise = depthwise
         self.out_channels = out_channels
-        self.weight = Parameter(uniform_init(rng, shape, fan_in), "weight")
-        self.bias = Parameter(np.zeros(out_channels), "bias") if bias else None
+        self.weight = Parameter(uniform_init(rng, shape, fan_in))
+        self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def __call__(self, x) -> Tensor:
         y = T.conv2d(x, self.weight, self.stride, depthwise=self.depthwise)
@@ -89,8 +83,8 @@ class Linear(Module):
     """Dense map on token matrices: (n, in) @ (in, out) + bias."""
 
     def __init__(self, rng, in_features: int, out_features: int, bias: bool = True):
-        self.weight = Parameter(uniform_init(rng, (in_features, out_features), in_features), "weight")
-        self.bias = Parameter(np.zeros(out_features), "bias") if bias else None
+        self.weight = Parameter(uniform_init(rng, (in_features, out_features), in_features))
+        self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def __call__(self, x) -> Tensor:
         y = T.matmul(x, self.weight)
@@ -105,7 +99,7 @@ class ChannelConv1d(Module):
     def __init__(self, rng, kernel_size: int):
         if kernel_size % 2 == 0:
             raise ShapeError(f"channel conv kernel must be odd, got {kernel_size}")
-        self.weight = Parameter(uniform_init(rng, (kernel_size,), kernel_size), "weight")
+        self.weight = Parameter(uniform_init(rng, (kernel_size,), kernel_size))
 
     def __call__(self, x) -> Tensor:
         return T.channel_conv1d(x, self.weight)
@@ -115,8 +109,8 @@ class ChannelNorm(Module):
     """Per-channel spatial standardization with learnable affine."""
 
     def __init__(self, channels: int):
-        self.gain = Parameter(np.ones(channels), "gain")
-        self.bias = Parameter(np.zeros(channels), "bias")
+        self.gain = Parameter(np.ones(channels))
+        self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x) -> Tensor:
         return T.channel_norm(x, self.gain, self.bias)

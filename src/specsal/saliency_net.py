@@ -185,6 +185,10 @@ class DecoderConfig:
     def __post_init__(self):
         if self.grid < 1 or self.attention_width < 1:
             raise ConfigError(f"bad decoder config: {self}")
+        if self.attention_width > 1024:  # far above every preset; bounds memory
+            raise ConfigError(
+                f"decoder attention width must be at most 1024, got {self.attention_width}"
+            )
 
 
 class GlobalSaliencyHead(Module):

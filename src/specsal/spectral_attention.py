@@ -74,7 +74,7 @@ class SpectralSelfAttention(Module):
         self.to_key = Linear(rng, channels, channels, bias=False)
         self.to_value = Linear(rng, channels, channels, bias=False)
         self.to_out = Linear(rng, channels, channels, bias=False)
-        self.head_scales = Parameter(np.ones(heads), "head_scales")
+        self.head_scales = Parameter(np.ones(heads))
         self.local_mix_a = Conv2d(rng, channels, channels, 3, depthwise=True)
         self.local_mix_b = Conv2d(rng, channels, channels, 3, depthwise=True)
 
@@ -115,8 +115,8 @@ class AdaptiveSpectralGate(Module):
     """
 
     def __init__(self, rng: np.random.Generator, channels: int):
-        self.avg_gain = Parameter(np.ones((1, 1, 1)), "avg_gain")
-        self.max_gain = Parameter(np.ones((1, 1, 1)), "max_gain")
+        self.avg_gain = Parameter(np.ones((1, 1, 1)))
+        self.max_gain = Parameter(np.ones((1, 1, 1)))
         self.mix = ChannelConv1d(rng, eca_kernel_size(channels))
 
     def __call__(self, x) -> Tensor:
@@ -164,6 +164,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.bands < 1 or self.heads < 1 or self.blocks < 1:
             raise ConfigError(f"encoder config fields must be positive: {self}")
+        if self.blocks > 64:  # far above every preset; bounds build time and memory
+            raise ConfigError(f"encoder blocks must be at most 64, got {self.blocks}")
         if self.bands % BAND_GROUP != 0:
             raise ConfigError(
                 f"band group {BAND_GROUP} does not divide {self.bands} bands"

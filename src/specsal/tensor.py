@@ -1,9 +1,10 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Tensors wrap numpy arrays (row-major, 64-bit by default). Differentiable ops are
-module-level functions; while a Tape is active they append a record per executed
-op, and Tape.backward consumes those records, popping each once in reverse
-execution order, accumulating gradients into every Parameter that took part.
+Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor that
+also owns a gradient array. Differentiable ops are module-level functions; while
+a Tape is active they append a record per executed op, and Tape.backward
+consumes those records, popping each once in reverse execution order, and adds
+the gradient of each Parameter input it meets into that Parameter's .grad.
 
 Layout conventions: feature maps are (channels, height, width); token matrices
 are (tokens, channels); convolution is zero-padded cross-correlation, lowered
@@ -22,7 +23,7 @@ from .exceptions import ShapeError
 _state = threading.local()
 
 class Tensor:
-    """A dense array. Pure data; gradient bookkeeping lives on the Tape."""
+    """A dense float64 array with no gradient of its own; see Parameter."""
 
     __slots__ = ("data",)
 
@@ -45,59 +46,53 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
+        return f"{type(self).__name__}(shape={self.shape}, dtype={self.data.dtype})"
 
 
-class Parameter:
-    """A named trainable tensor; its same-shaped gradient buffer is allocated on first use."""
+class Parameter(Tensor):
+    """A Tensor that Tape.backward accumulates a gradient into.
 
-    def __init__(self, value, name: str = "", trainable: bool = True):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
+    ``grad`` is a plain array of the same shape, allocated on first use. Its
+    name is its attribute path, which Module.named_parameters walks.
+    """
+
+    __slots__ = ("_grad",)
+
+    def __init__(self, data):
+        super().__init__(data)
         self._grad = None
-        self.name = name
-        self.trainable = trainable
 
     @property
-    def grad(self) -> Tensor:
+    def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = Tensor(np.zeros_like(self.value.data))
+            self._grad = np.zeros_like(self.data)
         return self._grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def zero_grad(self) -> None:
-        self.grad.data[...] = 0.0
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        self.grad[...] = 0.0
 
 
 class Tape:
     """Ordered record of executed ops, enough to replay the backward pass.
 
-    Single-owner: enter one tape at a time per thread. Ops executed while no
-    tape is active are plain computations and record nothing.
+    Single-owner: at most one tape is active per thread, and entering a second
+    one raises. Ops executed while no tape is active are plain computations
+    and record nothing.
     """
 
     def __init__(self):
         self._records = []  # (output Tensor, input Tensors, backward fn)
-        self._params = {}  # id -> Parameter, in first-use order
         self._replayed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("a tape is already active on this thread; tapes do not nest")
+        _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        assert stack and stack[-1] is self, "tape stack corrupted"
-        stack.pop()
+        _state.tape = None
         return False
-
-    def watch(self, param: Parameter) -> None:
-        self._params.setdefault(id(param), param)
 
     def record(self, out: Tensor, inputs, back) -> None:
         self._records.append((out, inputs, back))
@@ -106,11 +101,14 @@ class Tape:
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(param) into .grad of every watched Parameter.
+        """Accumulate d(loss)/d(param) into .grad of every Parameter on the tape.
 
         Consumes the tape: pops each record as it replays it, in reverse order,
         so an op's output and closure are freed once no record left refers to
-        them. A pending gradient holds its Tensor, so its id() stays unique.
+        them. A Parameter input's gradient is added into its .grad at once;
+        every other input's waits in a pending dict until the record that made
+        it is replayed. A pending gradient holds its Tensor, so its id() stays
+        unique.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -126,14 +124,13 @@ class Tape:
             for inp, gi in zip(inputs, back(pending[1])):
                 if gi is None:
                     continue
+                if isinstance(inp, Parameter):
+                    inp.grad[...] += gi
+                    continue
                 acc = grads.get(id(inp))
                 # Rebind, never add in place: backward functions may return views
                 # or the upstream array, and numpy makes 0-d results immutable.
                 grads[id(inp)] = (inp, gi if acc is None else acc[1] + gi)
-        for param in self._params.values():
-            pending = grads.get(id(param.value))
-            if pending is not None:
-                param.grad.data += pending[1]
 
     def first_non_finite(self):
         """Earliest recorded op whose output holds a NaN or infinity.
@@ -148,27 +145,12 @@ class Tape:
         return None
 
 
-def _tape_stack():
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = _state.stack = []
-    return stack
-
-
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_state, "tape", None)
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Parameter):
-        tape = active_tape()
-        if tape is not None and x.trainable:
-            tape.watch(x)
-        return x.value
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _push(out: Tensor, inputs, back) -> None:

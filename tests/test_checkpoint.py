@@ -49,7 +49,7 @@ def test_model_round_trip_through_apply(tmp_path):
     ):
         assert name_a == name_b
         np.testing.assert_array_equal(
-            p_b.value.data, p_a.value.data.astype(np.float32).astype(np.float64)
+            p_b.data, p_a.data.astype(np.float32).astype(np.float64)
         )
 
     cube = np.random.default_rng(2).random((config.encoder.bands, 8, 8))
@@ -65,7 +65,7 @@ def test_rng_free_build_plus_apply_matches_rng_built_model(tmp_path):
     save_checkpoint(model_state(SaliencyModel(np.random.default_rng(1), config)), path)
     drawn = SaliencyModel(np.random.default_rng(99), config)
     undrawn = SaliencyModel(None, config)
-    assert not any(p.value.data.any() for name, p in undrawn.named_parameters()
+    assert not any(p.data.any() for name, p in undrawn.named_parameters()
                    if name.endswith("weight"))
     for model in (drawn, undrawn):
         apply_state(model, load_checkpoint(path))

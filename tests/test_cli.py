@@ -252,6 +252,26 @@ def test_train_mask_cube_mismatch_exits_two(tmp_path, workspace, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("widths", [(48,), (32, 48)], ids=["non-square", "mixed-shapes"])
+def test_train_cube_that_does_not_fit_the_model_exits_two(widths, tmp_path, capsys):
+    entries = []
+    for i, width in enumerate(widths):
+        cube, mask = synth_scene(training_demo_scene_spec(width=width), seed=i)
+        write_cube(cube, tmp_path / f"s{i}.hsv2")
+        write_mask(mask, tmp_path / f"s{i}.pgm")
+        entries.append({"id": f"s{i}", "cube": f"s{i}.hsv2", "mask": f"s{i}.pgm", "split": "train"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": entries}))
+    out = tmp_path / "out"
+    assert main([
+        "train", "--manifest", str(path), "--steps", "1",
+        "--out", str(out / "m.ckpt"), "--log", str(out / "m.jsonl"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: entry s{len(widths) - 1}: ")
+    assert not out.exists()
+
+
 def test_infer_without_config_or_sidecar_exits_two(tmp_path, workspace, capsys):
     orphan = tmp_path / "orphan.ckpt"
     orphan.write_bytes((workspace / "model.ckpt").read_bytes())
@@ -310,6 +330,12 @@ def test_gradcheck_exits_zero_and_writes_report(tmp_path, capsys):
     for name, group in doc["groups"].items():
         assert name in out
         assert group["max_rel_error"] < 1e-4
+
+
+def test_gradcheck_seed_with_high_curvature_coordinate_passes(capsys):
+    # seed 2 samples encoder.embed.bias[0], where the plain central difference
+    # misses the tape gradient by 1.6e-4 from truncation error alone
+    assert main(["gradcheck", "--seed", "2"]) == 0
 
 
 def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):
@@ -439,19 +465,29 @@ def test_negative_seed_or_empty_audit_exits_two_before_any_work(command, flags, 
     assert not list(tmp_path.iterdir())
 
 
+# a model config that fits the workspace's 8x32x32 cubes
+_FITTING = {"encoder": {"bands": 8, "heads": 1, "blocks": 1}, "stem_stride": 1, "input_size": 32}
+
+
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, model",
     [
-        ("infer", []),
-        ("train", []),
-        ("stats", ["--grid", "0"]),
-        ("stats", ["--grid", "10000000000"]),
+        ("infer", [], {"encoder": {"bands": 8}, "input_size": 2**40}),
+        ("train", [], {"encoder": {"bands": 8}, "input_size": 2**40}),
+        ("infer", [], {**_FITTING, "decoder": {"attention_width": 2**40}}),
+        ("train", [], {**_FITTING, "decoder": {"attention_width": 1025}}),
+        ("infer", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 65}}),
+        ("train", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 2**40}}),
+        ("stats", ["--grid", "0"], None),
+        ("stats", ["--grid", "10000000000"], None),
     ],
-    ids=["infer-config-size", "train-config-size", "stats-grid-zero", "stats-grid-huge"],
+    ids=["infer-config-size", "train-config-size", "infer-attention-width",
+         "train-attention-width", "infer-encoder-blocks", "train-encoder-blocks",
+         "stats-grid-zero", "stats-grid-huge"],
 )
-def test_oversized_or_invalid_settings_exit_two_writing_nothing(command, flags, tmp_path, workspace, capsys):
+def test_oversized_or_invalid_settings_exit_two_writing_nothing(command, flags, model, tmp_path, workspace, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"encoder": {"bands": 8}, "input_size": 2**40}))
+    config.write_text(json.dumps(model))
     out = tmp_path / "out"
     argv = {
         "infer": ["infer", "--cube", str(workspace / "scene1.hsv2"),

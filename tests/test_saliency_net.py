@@ -104,7 +104,6 @@ def test_cross_scale_fusion_degenerate_spatial():
 
 def test_cross_scale_fusion_no_dead_parameters():
     level = CrossScaleFusion(np.random.default_rng(14), 8, 16)
-    level.assign_parameter_names("level")
     x = Tensor(np.random.default_rng(15).uniform(0.1, 1.0, (8, 8, 8)))
     deeper = Tensor(np.random.default_rng(16).uniform(0.1, 1.0, (16, 4, 4)))
     with Tape() as tape:
@@ -112,7 +111,7 @@ def test_cross_scale_fusion_no_dead_parameters():
         loss = T.sum_over(T.mul(out, out))
     tape.backward(loss)
     for name, p in level.named_parameters("level"):
-        assert np.abs(p.grad.data).max() > 0, f"dead parameter {name}"
+        assert np.abs(p.grad).max() > 0, f"dead parameter {name}"
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,12 @@ def test_block_residual_wiring_with_zeroed_branches():
     The block must then compute x + 0 + 0.5x = 1.5x exactly.
     """
     block = SpectralAttentionBlock(np.random.default_rng(8), 4, 2)
-    block.attention.to_out.weight.value.data[:] = 0.0
-    block.attention.local_mix_b.weight.value.data[:] = 0.0
-    block.attention.local_mix_b.bias.value.data[:] = 0.0
-    block.gate.mix.weight.value.data[:] = 0.0
-    block.project.weight.value.data[:] = 0.0
-    block.project.bias.value.data[:] = 0.0
+    block.attention.to_out.weight.data[:] = 0.0
+    block.attention.local_mix_b.weight.data[:] = 0.0
+    block.attention.local_mix_b.bias.data[:] = 0.0
+    block.gate.mix.weight.data[:] = 0.0
+    block.project.weight.data[:] = 0.0
+    block.project.bias.data[:] = 0.0
     x = np.random.default_rng(9).uniform(0.0, 1.0, (4, 5, 5))
     y = block(Tensor(x)).data
     np.testing.assert_array_equal(y, 1.5 * x)
@@ -132,7 +132,6 @@ def _fd_scalar(loss_fn, array, idx, h=1e-5):
 
 def test_block_gradients_match_finite_differences():
     block = SpectralAttentionBlock(np.random.default_rng(10), 4, 2)
-    block.assign_parameter_names("block")
     x = np.random.default_rng(11).uniform(0.2, 1.2, (4, 5, 5))
 
     def loss_fn():
@@ -155,8 +154,8 @@ def test_block_gradients_match_finite_differences():
     params = dict(block.named_parameters("block"))
     for name, idx in probes.items():
         p = params[name]
-        fd = _fd_scalar(loss_fn, p.value.data, idx)
-        got = float(p.grad.data[idx])
+        fd = _fd_scalar(loss_fn, p.data, idx)
+        got = float(p.grad[idx])
         denom = max(1e-4, abs(fd), abs(got))
         assert abs(fd - got) / denom < 1e-5, f"{name}: fd {fd} vs tape {got}"
 

@@ -50,15 +50,15 @@ def check_gradients(build, arrays, rtol=FD_RTOL):
     tape.backward(loss)
     for p in params:
         def forward(p=p):
-            return float(build(*[Tensor(q.value.data) for q in params]).data)
+            return float(build(*[Tensor(q.data) for q in params]).data)
 
         # re-evaluate with the perturbed copy of this parameter's storage
         def forward_inplace(p=p):
-            vals = [Tensor(q.value.data) for q in params]
+            vals = [Tensor(q.data) for q in params]
             return float(build(*vals).data)
 
-        fd = fd_gradient(forward_inplace, p.value.data)
-        err = rel_error(fd, p.grad.data)
+        fd = fd_gradient(forward_inplace, p.data)
+        err = rel_error(fd, p.grad)
         assert err < rtol, f"gradient mismatch {err:.2e} for input shape {p.shape}"
 
 
@@ -196,8 +196,8 @@ def test_conv2d_gradients_are_adjoint(cin, cout, kh, kw, stride, depthwise):
         loss = T.sum_over(T.mul(y, weights))
     tape.backward(loss)
     assert px.grad.shape == x.shape and pk.grad.shape == k.shape
-    np.testing.assert_allclose(np.vdot(x, px.grad.data), loss.item(), rtol=1e-12)
-    np.testing.assert_allclose(np.vdot(k, pk.grad.data), loss.item(), rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(x, px.grad), loss.item(), rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(k, pk.grad), loss.item(), rtol=1e-12)
 
 
 def traced_held_bytes(build):
@@ -412,7 +412,7 @@ def test_backward_visits_each_op_once_in_reverse_order():
     tape.backward(c)
     assert order == [2, 1, 0]  # reverse execution order, one visit each
     # d/dp of 3p*(3p+1) = 18p + 3 = 39 at p=2
-    assert p.grad.data == pytest.approx(39.0)
+    assert p.grad == pytest.approx(39.0)
 
 
 def test_backward_consumes_the_tape():
@@ -422,10 +422,10 @@ def test_backward_consumes_the_tape():
     assert len(tape) == 2
     tape.backward(loss)
     assert len(tape) == 0
-    np.testing.assert_array_equal(p.grad.data, [2.0, 4.0])
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
     with pytest.raises(RuntimeError, match="already replayed"):
         tape.backward(loss)
-    np.testing.assert_array_equal(p.grad.data, [2.0, 4.0])
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
 def test_backward_releases_each_record_once_replayed():
@@ -445,8 +445,8 @@ def test_backward_releases_each_record_once_replayed():
 
     tape, held = traced_held_bytes(forward_and_backward)
     assert len(tape) == 0
-    assert held < 3 * n * p.value.data.itemsize
-    np.testing.assert_array_equal(p.grad.data, np.ones(n))
+    assert held < 3 * n * p.data.itemsize
+    np.testing.assert_array_equal(p.grad, np.ones(n))
 
 
 def test_parameter_allocates_its_gradient_on_first_use():
@@ -455,11 +455,11 @@ def test_parameter_allocates_its_gradient_on_first_use():
     with Tape():
         T.mul(p, 2.0)
     assert p._grad is None  # forward alone never allocates it
-    np.testing.assert_array_equal(p.grad.data, np.zeros((2, 3)))
-    p.grad.data[0, 0] = 5.0
-    assert p.grad.data[0, 0] == 5.0
+    np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
+    p.grad[0, 0] = 5.0
+    assert p.grad[0, 0] == 5.0
     p.zero_grad()
-    np.testing.assert_array_equal(p.grad.data, np.zeros((2, 3)))
+    np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
 
 
 def test_backward_frees_each_gradient_once_consumed():
@@ -477,8 +477,8 @@ def test_backward_frees_each_gradient_once_consumed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * p.value.data.itemsize
-    np.testing.assert_array_equal(p.grad.data, np.ones(n))
+    assert peak < 5 * n * p.data.itemsize
+    np.testing.assert_array_equal(p.grad, np.ones(n))
 
 
 def test_gradient_accumulates_across_reuse():
@@ -486,17 +486,32 @@ def test_gradient_accumulates_across_reuse():
     with Tape() as tape:
         y = T.sum_over(T.add(T.mul(p, p), T.mul(p, 3.0)))  # p^2 + 3p
     tape.backward(y)
-    assert p.grad.data[0] == pytest.approx(2 * 1.5 + 3.0)
+    assert p.grad[0] == pytest.approx(2 * 1.5 + 3.0)
 
 
-def test_frozen_parameter_gets_zero_gradient():
-    frozen = Parameter(np.array([2.0]), trainable=False)
-    free = Parameter(np.array([3.0]))
+def test_parameter_is_a_tensor_with_an_array_gradient():
+    p = Parameter(np.array([2.0, 3.0]))
+    assert isinstance(p, Tensor)
     with Tape() as tape:
-        y = T.sum_over(T.mul(frozen, free))
+        y = T.sum_over(T.mul(p, p))
     tape.backward(y)
-    assert frozen.grad.data[0] == 0.0
-    assert free.grad.data[0] == pytest.approx(2.0)
+    assert type(p.grad) is np.ndarray
+    np.testing.assert_array_equal(p.grad, [4.0, 6.0])
+
+
+def test_nested_tape_raises_and_leaves_the_outer_tape_active():
+    p = Parameter(np.array([2.0]))
+    with Tape() as outer:
+        with pytest.raises(RuntimeError, match="already active"):
+            with Tape():
+                pass
+        y = T.sum_over(T.mul(p, 3.0))
+    assert len(outer) == 2
+    outer.backward(y)
+    np.testing.assert_array_equal(p.grad, [3.0])
+    with Tape() as again:  # the slot is free once the outer tape exits
+        T.mul(p, 1.0)
+    assert len(again) == 1
 
 
 def test_ops_off_tape_record_nothing():
@@ -514,8 +529,8 @@ def test_broadcast_add_unbroadcasts_gradient():
     with Tape() as tape:
         y = T.sum_over(T.add(a, b))
     tape.backward(y)
-    np.testing.assert_array_equal(a.grad.data, np.full((3, 1), 4.0))
-    np.testing.assert_array_equal(b.grad.data, np.full((1, 4), 3.0))
+    np.testing.assert_array_equal(a.grad, np.full((3, 1), 4.0))
+    np.testing.assert_array_equal(b.grad, np.full((1, 4), 3.0))
 
 
 def test_shared_upstream_gradient_is_not_corrupted():
@@ -528,8 +543,8 @@ def test_shared_upstream_gradient_is_not_corrupted():
         w = T.add(z, x)  # dx = dz + 1, dy = dz
         loss = T.sum_over(w)
     tape.backward(loss)
-    np.testing.assert_array_equal(x.grad.data, [2.0, 2.0])
-    np.testing.assert_array_equal(y.grad.data, [1.0, 1.0])
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 1.0])
 
 
 @pytest.mark.parametrize(

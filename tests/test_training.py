@@ -13,7 +13,7 @@ from specsal.model import SaliencyModel, demo_model_config, tiny_model_config
 from specsal.nn import Linear, Module
 from specsal.scenes import synth_scene, training_demo_scene_spec
 from specsal.spectral_attention import SpectralEncoder
-from specsal.tensor import Parameter, Tape, Tensor
+from specsal.tensor import Parameter, Tensor
 from specsal.training import (
     AdamOptimizer,
     TrainConfig,
@@ -43,39 +43,27 @@ def test_adam_matches_hand_computed_updates():
     g1 = np.array([0.3, -0.1, 2.0])
     g2 = np.array([-1.0, 0.4, 0.0])
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    param = Parameter(Tensor(p0.copy()), name="p")
+    param = Parameter(p0.copy())
     opt = AdamOptimizer([param], lr)
 
     expected1, expected2 = _reference_adam_two_steps(p0, g1, g2, lr, b1, b2, eps)
-    param.grad.data[...] = g1
+    param.grad[...] = g1
     opt.step()
-    np.testing.assert_allclose(param.value.data, expected1, rtol=0, atol=1e-15)
-    param.grad.data[...] = g2
+    np.testing.assert_allclose(param.data, expected1, rtol=0, atol=1e-15)
+    param.grad[...] = g2
     opt.step()
-    np.testing.assert_allclose(param.value.data, expected2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(param.data, expected2, rtol=0, atol=1e-15)
 
 
 def test_adam_first_step_moves_by_signed_learning_rate():
     # bias correction makes the first update lr * g/(|g| + eps), almost lr * sign(g)
-    param = Parameter(Tensor(np.array([3.0, -0.2, 1e-4])), name="p")
+    param = Parameter(np.array([3.0, -0.2, 1e-4]))
     opt = AdamOptimizer([param], learning_rate=0.05)
-    before = param.value.data.copy()
-    param.grad.data[...] = np.array([2.0, -0.001, 7.0])
+    before = param.data.copy()
+    param.grad[...] = np.array([2.0, -0.001, 7.0])
     opt.step()
-    delta = param.value.data - before
+    delta = param.data - before
     np.testing.assert_allclose(delta, [-0.05, 0.05, -0.05], rtol=1e-4)
-
-
-def test_adam_skips_frozen_parameters():
-    live = Parameter(Tensor(np.ones(2)), name="live")
-    frozen = Parameter(Tensor(np.ones(2)), name="frozen", trainable=False)
-    opt = AdamOptimizer([live, frozen])
-    assert opt.parameters == [live]
-    frozen.grad.data[...] = 5.0
-    live.grad.data[...] = 5.0
-    opt.step()
-    np.testing.assert_array_equal(frozen.value.data, np.ones(2))
-    assert not np.array_equal(live.value.data, np.ones(2))
 
 
 def test_train_config_validation():
@@ -98,7 +86,7 @@ def test_train_step_is_deterministic():
         model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
         opt = AdamOptimizer(model.parameters())
         reports = [train_step(model, cube, mask, opt) for _ in range(3)]
-        state = np.concatenate([p.value.data.ravel() for p in model.parameters()])
+        state = np.concatenate([p.data.ravel() for p in model.parameters()])
         return reports, state
 
     first_reports, first_state = run()
@@ -112,7 +100,7 @@ def test_train_step_aborts_on_non_finite_loss_with_op_name():
     model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
     opt = AdamOptimizer(model.parameters())
     poisoned = model.parameters()[0]
-    poisoned.value.data.flat[0] = np.nan
+    poisoned.data.flat[0] = np.nan
     with pytest.raises(NumericError, match="op '"):
         train_step(model, cube, mask, opt)
 
@@ -120,17 +108,15 @@ def test_train_step_aborts_on_non_finite_loss_with_op_name():
 def test_gradient_finiteness_check_names_parameter():
     cube, mask = _demo_example()
     model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
-    model.assign_parameter_names()
-    opt = AdamOptimizer(model.parameters())
 
     # a finite loss whose backward pass manufactures an inf is hard to build
     # from real layers, so exercise the guard through the helper directly
     from specsal.training import _check_gradients_finite
 
-    target = opt.parameters[3]
-    target.grad.data.flat[0] = np.inf
-    with pytest.raises(NumericError, match=target.name):
-        _check_gradients_finite(opt.parameters, "update 1")
+    name, target = list(model.parameters_by_name.items())[3]
+    target.grad.flat[0] = np.inf
+    with pytest.raises(NumericError, match=f"gradient for {name} at update 1"):
+        _check_gradients_finite(model.parameters_by_name.items(), "update 1")
 
 
 def test_train_loop_writes_fixed_jsonl_keys():
@@ -180,14 +166,15 @@ def test_frozen_attention_scalars_train_worse_than_free(seeded_demo_run):
     # freezing them on the seeded demo scene leaves a strictly higher final loss
     cube, mask = synth_scene(training_demo_scene_spec(), 0)
     model = SaliencyModel(np.random.default_rng(0), demo_model_config())
-    for name, p in model.named_parameters():
-        if parameter_group(name) in ("attention_scales", "pool_gains"):
-            p.trainable = False
-    reports = train_loop(
-        model, [(cube.data, mask.astype(float))], TrainConfig(seed=0, steps=100)
-    )
+    free = [
+        p for name, p in model.named_parameters()
+        if parameter_group(name) not in ("attention_scales", "pool_gains")
+    ]
+    optimizer = AdamOptimizer(free, TrainConfig().learning_rate)
+    for _ in range(100):
+        report = train_step(model, cube.data, mask.astype(float), optimizer)
     _, _, free_reports = seeded_demo_run
-    assert free_reports[-1].total < reports[-1].total
+    assert free_reports[-1].total < report.total
 
 
 def _spearman(a, b):
@@ -241,7 +228,6 @@ def test_gradcheck_linear_submodel_is_exact():
             return self.second(self.first(x))
 
     model = TwoLinear(np.random.default_rng(0))
-    model.assign_parameter_names()
     x = np.random.default_rng(1).random((5, 3))
 
     def loss_builder():
@@ -256,7 +242,6 @@ def test_gradcheck_linear_submodel_is_exact():
 def test_gradcheck_full_tiny_model_within_tolerance():
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(3), config)
-    model.assign_parameter_names()
     jitter_parameters(model.parameters(), seed=0)
     rng = np.random.default_rng(7)
     cube = rng.random((config.encoder.bands, 8, 8))
@@ -274,7 +259,7 @@ def test_gradcheck_full_tiny_model_within_tolerance():
         assert required in groups
     for report in reports:
         census = sum(
-            int(np.prod(p.value.data.shape))
+            int(np.prod(p.data.shape))
             for name, p in model.named_parameters()
             if parameter_group(name) == report.group
         )
@@ -284,11 +269,11 @@ def test_gradcheck_full_tiny_model_within_tolerance():
 
 
 def test_gradcheck_reports_offending_group():
-    weight = Parameter(Tensor(np.array(2.0)), name="weight")
+    weight = Parameter(np.array(2.0))
 
     def untaped_builder():
         # loss 3w computed outside the tape: FD sees slope 3, tape sees 0
-        return Tensor(weight.value.data * 3.0)
+        return Tensor(weight.data * 3.0)
 
     bad = grad_check_suite([("weight", weight)], untaped_builder)
     assert [r.group for r in failing_groups(bad, 1e-4)] == ["conv_kernels"]
@@ -296,44 +281,18 @@ def test_gradcheck_reports_offending_group():
     assert bad[0].max_rel_error == pytest.approx(1.0, rel=1e-6)
 
 
-def test_frozen_parameter_receives_zero_gradient():
-    config = tiny_model_config()
-    model = SaliencyModel(np.random.default_rng(3), config)
-    model.assign_parameter_names()
-    frozen = [p for _, p in model.named_parameters()][5]
-    frozen.trainable = False
-    rng = np.random.default_rng(7)
-    cube = rng.random((config.encoder.bands, 8, 8))
-    mask = (rng.random((8, 8)) > 0.6).astype(float)
-    with Tape() as tape:
-        total, _ = compute_losses(model(cube), cube, mask)
-    tape.backward(total)
-    assert np.all(frozen.grad.data == 0.0)
-    reports = grad_check_suite(
-        model.named_parameters(),
-        lambda: compute_losses(model(cube), cube, mask)[0],
-    )
-    checked = sum(
-        1
-        for r in reports
-        for name, p in model.named_parameters()
-        if name == r.worst_parameter and not p.trainable
-    )
-    assert checked == 0
-
-
 def test_jitter_is_seeded_and_bounded():
     def fresh():
-        return [Parameter(Tensor(np.zeros(100)), name="p")]
+        return [Parameter(np.zeros(100))]
 
     a, b, c = fresh(), fresh(), fresh()
     jitter_parameters(a, seed=0)
     jitter_parameters(b, seed=0)
     jitter_parameters(c, seed=1)
-    np.testing.assert_array_equal(a[0].value.data, b[0].value.data)
-    assert not np.array_equal(a[0].value.data, c[0].value.data)
-    assert np.abs(a[0].value.data).max() <= 1e-3
-    assert np.abs(a[0].value.data).max() > 0.0
+    np.testing.assert_array_equal(a[0].data, b[0].data)
+    assert not np.array_equal(a[0].data, c[0].data)
+    assert np.abs(a[0].data).max() <= 1e-3
+    assert np.abs(a[0].data).max() > 0.0
 
 
 def test_parameter_group_classification():
