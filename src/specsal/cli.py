@@ -120,15 +120,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    config_path = args.config
-    if config_path is None:
-        sidecar = Path(str(args.checkpoint) + ".json")
-        if not sidecar.exists():
-            raise ConfigError(
-                f"no model config: pass --config or provide the sidecar {sidecar}"
-            )
-        config_path = sidecar
-    config = model_config_from_dict(load_json_document(config_path))
+    config = model_config_from_dict(load_json_document(f"{args.checkpoint}.json"))
     cube = read_cube(args.cube)
     config.check_cube(cube.data.shape)  # before building a model of that size
     model = SaliencyModel(None, config)  # every weight comes from the checkpoint
@@ -141,12 +133,16 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _load_examples(manifest, manifest_path, split):
+def _split_entries(manifest, manifest_path, split):
     entries = manifest.by_split(split)
     if not entries:
         raise ManifestError(f"{manifest_path}: no entries in split {split!r}")
+    return entries
+
+
+def _load_examples(manifest, manifest_path, split):
     examples = []
-    for entry in entries:
+    for entry in _split_entries(manifest, manifest_path, split):
         cube = read_cube(resolve_path(manifest_path, entry.cube))
         mask = read_mask(resolve_path(manifest_path, entry.mask))
         if mask.shape != (cube.height, cube.width):
@@ -204,9 +200,9 @@ def _prediction_for(entry, pred_dir):
 
 def _cmd_eval(args) -> int:
     manifest = load_manifest(args.manifest)
-    examples = _load_examples(manifest, args.manifest, args.split)
     scored = []
-    for entry, _, mask in examples:
+    for entry in _split_entries(manifest, args.manifest, args.split):
+        mask = read_mask(resolve_path(args.manifest, entry.mask))
         prediction = _prediction_for(entry, args.pred_dir)
         report = evaluate_pair(prediction, mask.astype(np.float64))
         scored.append((entry, report))
@@ -359,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer = commands.add_parser("infer", help="run a trained model on a cube")
     infer.add_argument("--cube", type=Path, required=True)
     infer.add_argument("--checkpoint", type=Path, required=True)
-    infer.add_argument("--config", type=Path, help="model config JSON (default: checkpoint sidecar)")
     infer.add_argument("--out", type=Path, required=True)
     infer.add_argument("--float-out", type=Path)
     infer.set_defaults(handler=_cmd_infer)

@@ -96,12 +96,16 @@ def write_float_map(values: np.ndarray, path) -> None:
 
 
 def read_float_map(path) -> np.ndarray:
+    """Read a float sidecar whose payload must match its header exactly."""
     payload = Path(path).read_bytes()
     if len(payload) < 8:
         raise MaskFormatError(f"{path}: truncated float map header")
     h, w = np.frombuffer(payload[:8], dtype="<u4")
     need = int(h) * int(w) * 4
-    if len(payload) - 8 < need:
-        raise MaskFormatError(f"{path}: float map payload too short")
-    data = np.frombuffer(payload[8 : 8 + need], dtype="<f4")
+    if len(payload) - 8 != need:
+        raise MaskFormatError(
+            f"{path}: float map header claims {h}x{w} ({need} bytes), payload has "
+            f"{len(payload) - 8}"
+        )
+    data = np.frombuffer(payload[8:], dtype="<f4")
     return data.reshape(int(h), int(w)).astype(np.float64)

@@ -59,19 +59,14 @@ def soft_iou_loss(probs, target) -> Tensor:
 
 
 def dense_saliency_loss(level_predictions, mask):
-    """Sum of BCE+IoU over levels, each upsampled to mask size.
-
-    Returns (taped total, per-level float values).
-    """
+    """Sum of BCE+IoU over levels, each upsampled to mask size (taped)."""
     h, w = mask.shape
     total = None
-    per_level = []
     for pred in level_predictions:
         pred = resize_to(pred, h, w)
         term = T.add(binary_cross_entropy(pred, mask), soft_iou_loss(pred, mask))
-        per_level.append(term.item())
         total = term if total is None else T.add(total, term)
-    return total, tuple(per_level)
+    return total
 
 
 @dataclass
@@ -82,7 +77,6 @@ class LossReport:
     saliency: float  # dense multi-level BCE+IoU
     global_guidance: float  # coarse-grid BCE
     total: float
-    level_terms: tuple = ()
 
     def __post_init__(self):
         parts = self.reconstruction + self.saliency + self.global_guidance
@@ -105,7 +99,7 @@ def compute_losses(output, cube_values, mask):
             f"mask {mask.shape} does not match saliency {output.saliency.shape}"
         )
     recon = mean_absolute_error(output.restored, np.asarray(cube_values, dtype=float))
-    dense, per_level = dense_saliency_loss(output.level_predictions, mask)
+    dense = dense_saliency_loss(output.level_predictions, mask)
     grid = output.block_saliency.shape[1]
     coarse_target = block_ground_truth(mask, grid)
     coarse = binary_cross_entropy(output.block_saliency, coarse_target)
@@ -115,6 +109,5 @@ def compute_losses(output, cube_values, mask):
         saliency=dense.item(),
         global_guidance=coarse.item(),
         total=total.item(),
-        level_terms=per_level,
     )
     return total, report

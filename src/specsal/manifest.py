@@ -23,9 +23,6 @@ from .masks import EmptyMaskError, centroid, foreground_scale, read_mask
 
 ATTRIBUTE_VOCABULARY = ("CB", "CS", "HDR", "SO", "MS")
 
-# Benchmark convention: 406 of 500 scenes train, 94 test.
-DEFAULT_TRAIN_FRACTION = 0.812
-
 SPLITS = ("train", "test")
 
 SCALE_BIN_EDGES = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)

@@ -1,10 +1,10 @@
-"""Full pipeline assembly: band grouping, spectral encoder, backbone, decoder.
+"""Full pipeline assembly: spectral encoder, backbone, decoder.
 
-The model consumes a raw reflectance cube (bands, H, W) as a plain array,
-averages every ``BAND_GROUP`` adjacent bands (a fixed, parameter-free
-reduction), and runs the taped network on the grouped cube. It returns every
-supervised quantity: the full-resolution saliency map, per-level maps and
-three-way labelings, the coarse global grid, and the reconstructed cube.
+The model hands a raw reflectance cube (bands, H, W) as a plain array to the
+spectral encoder, which groups the bands itself, and runs the taped network
+from there. It returns every supervised quantity: the full-resolution
+saliency map, per-level maps and three-way labelings, the coarse global grid,
+and the reconstructed cube.
 """
 
 from __future__ import annotations
@@ -13,23 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .exceptions import ConfigError, ShapeError
 from .nn import Module
-from .saliency_net import DecoderConfig, HighResBackbone, SaliencyDecoder
-from .spectral_attention import BAND_GROUP, EncoderConfig, SpectralEncoder
+from .saliency_net import BRANCH_WIDTHS, DecoderConfig, HighResBackbone, SaliencyDecoder, resize_to
+from .spectral_attention import EncoderConfig, SpectralEncoder
 from .tensor import Tensor
-
-
-def group_bands(values: np.ndarray, factor: int) -> np.ndarray:
-    """Average each run of ``factor`` adjacent bands of a (C, H, W) array."""
-    values = np.asarray(values)
-    if values.ndim != 3:
-        raise ShapeError(f"expected a (bands, H, W) array, got {values.shape}")
-    c, h, w = values.shape
-    if factor < 1 or c % factor:
-        raise ShapeError(f"group factor {factor} does not divide {c} bands")
-    return values.reshape(c // factor, factor, h, w).mean(axis=1)
 
 
 @dataclass
@@ -37,7 +25,8 @@ class ModelConfig:
     """The settings a caller varies; the branch layout is fixed structure.
 
     ``stem_stride`` is the backbone stem's stride; the saliency map is
-    upsampled by it back to ``input_size``.
+    upsampled by it back to ``input_size``. A config that constructs here
+    builds a model: this is the only place that checks.
     """
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -54,10 +43,15 @@ class ModelConfig:
                 f"input size {self.input_size} must be a positive multiple of {need}"
             )
         grid = self.decoder.grid
-        for size in self.level_sizes():
+        for width, size in zip(BRANCH_WIDTHS, self.level_sizes()):
             if size % grid and grid % size:
                 raise ConfigError(
                     f"decoder grid {grid} shares no integer factor with level size {size}"
+                )
+            if size < grid and width % (grid // size) ** 2:
+                raise ConfigError(
+                    f"decoder grid {grid} cannot shuffle the {width} channels of "
+                    f"level size {size} up by {grid // size}"
                 )
 
     @property
@@ -131,14 +125,10 @@ class SaliencyModel(Module):
         self.parameters_by_name = dict(self.named_parameters())  # the tree is fixed from here on
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
-        cube_values = np.asarray(cube_values, dtype=float)
-        self.config.check_cube(cube_values.shape)
-        grouped = group_bands(cube_values, BAND_GROUP)
-        features, restored = self.encoder(Tensor(grouped))
+        self.config.check_cube(np.shape(cube_values))
+        features, restored = self.encoder(cube_values)
         pyramid = self.backbone(features)
         block_map, predictions, trimaps = self.decoder(pyramid)
-        stride = self.config.stem_stride
-        saliency = (
-            T.upsample_nearest(predictions[0], stride) if stride > 1 else predictions[0]
-        )
+        size = self.config.input_size
+        saliency = resize_to(predictions[0], size, size)
         return ModelOutput(saliency, restored, block_map, predictions, trimaps)

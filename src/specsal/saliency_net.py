@@ -86,7 +86,6 @@ class HighResBackbone(Module):
 
     def __init__(self, rng, in_channels: int, stem_stride: int):
         w = BRANCH_WIDTHS
-        self.stem_stride = stem_stride
         self.stem = ConvNormRelu(rng, in_channels, w[0], 3, stride=stem_stride)
         self.descend = [
             ConvNormRelu(rng, w[i], w[i + 1], 3, stride=2) for i in range(3)
@@ -96,13 +95,6 @@ class HighResBackbone(Module):
 
     def branches(self, x):
         """The four branch features before cross-resolution fusion."""
-        _, h, w = x.shape
-        need = 8 * self.stem_stride
-        if h % need or w % need:
-            raise ShapeError(
-                f"backbone input {h}x{w} must be divisible by {need} "
-                f"(8 branches-of-2 below a stride-{self.stem_stride} stem)"
-            )
         feats = [self.stem(x)]
         for down in self.descend:
             feats.append(down(feats[-1]))
@@ -195,11 +187,12 @@ class GlobalSaliencyHead(Module):
     """Coarse saliency grid from all four levels via token self-attention.
 
     Every level is rearranged losslessly to grid x grid (pixel unshuffle when
-    finer, pixel shuffle when coarser), adapted by a 3x3 conv + norm + relu,
-    and flattened to g^2 tokens. Tokens are projected to the attention width,
-    mixed by one softmax(QK^T/sqrt(d))V layer with a residual (no positional
-    information, so the layer is token-permutation equivariant), refined by a
-    two-layer MLP, and squashed to a (1, g, g) map in (0,1).
+    finer, pixel shuffle when coarser; ``ModelConfig`` admits only grids where
+    one of the two fits), adapted by a 3x3 conv + norm + relu, and flattened
+    to g^2 tokens. Tokens are projected to the attention width, mixed by one
+    softmax(QK^T/sqrt(d))V layer with a residual (no positional information,
+    so the layer is token-permutation equivariant), refined by a two-layer
+    MLP, and squashed to a (1, g, g) map in (0,1).
     """
 
     def __init__(self, rng, level_sizes, grid: int, attention_width: int):
@@ -212,17 +205,10 @@ class GlobalSaliencyHead(Module):
                 factor = size // grid
                 mode = ("keep", 1) if factor == 1 else ("unshuffle", factor)
                 in_channels = channels * factor * factor
-            elif grid % size == 0:
+            else:
                 factor = grid // size
-                if channels % (factor * factor):
-                    raise ConfigError(
-                        f"cannot shuffle {channels} channels up by {factor} "
-                        f"(level {size} to grid {grid})"
-                    )
                 mode = ("shuffle", factor)
                 in_channels = channels // (factor * factor)
-            else:
-                raise ConfigError(f"grid {grid} incompatible with level size {size}")
             self.rearrange.append(mode)
             adapt.append(ConvNormRelu(rng, in_channels, channels, 3))
         self.adapt = adapt

@@ -1,10 +1,11 @@
 """Spectral token attention encoder with a band-reconstruction head.
 
-The encoder works on band-grouped cubes: the caller averages each run of
-``BAND_GROUP`` adjacent bands first, so attention runs over a short channel
-axis (tokens are pixels, attention mixes channels, not positions). Cost per
-block is O(HW * C'^2) instead of the O((HW)^2) of spatial attention, which is
-what makes whole-cube attention affordable at desk scale.
+The encoder takes the raw (bands, H, W) cube and groups it itself: it averages
+each run of ``BAND_GROUP`` adjacent bands (a fixed, parameter-free reduction),
+so attention runs over a short channel axis (tokens are pixels, attention
+mixes channels, not positions). Cost per block is O(HW * C'^2) instead of the
+O((HW)^2) of spatial attention, which is what makes whole-cube attention
+affordable at desk scale.
 
 Each block runs two parallel branches over the input, channel attention and a
 pooled channel gate, sums them onto a residual, then applies a pointwise
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ConfigError
+from .exceptions import ConfigError, ShapeError
 from .nn import ChannelConv1d, Conv2d, Linear, Module
 from .tensor import Parameter, Tensor
 
@@ -152,9 +153,9 @@ class SpectralAttentionBlock(Module):
 class EncoderConfig:
     """Spectral encoder hyperparameters.
 
-    ``bands`` is the cube's native band count; the encoder consumes the cube
-    after grouping runs of ``BAND_GROUP`` bands and reconstructs all ``bands``
-    of them again through the restore head.
+    ``bands`` is the cube's native band count; the encoder groups runs of
+    ``BAND_GROUP`` bands and reconstructs all ``bands`` of them again through
+    the restore head.
     """
 
     bands: int = 32
@@ -181,11 +182,12 @@ class EncoderConfig:
 
 
 class SpectralEncoder(Module):
-    """Embedding conv, attention blocks, and a band-restoration conv.
+    """Band grouping, embedding conv, attention blocks, a band-restoration conv.
 
-    Returns (features, restored): features stay at the grouped band count for
-    the saliency network, restored recovers the native band count and is
-    scored against the original cube during training.
+    Takes the raw (bands, H, W) cube as a plain array and returns (features,
+    restored): features stay at the grouped band count for the saliency
+    network, restored recovers the native band count and is scored against
+    the original cube during training.
     """
 
     def __init__(self, rng: np.random.Generator, config: EncoderConfig):
@@ -198,8 +200,15 @@ class SpectralEncoder(Module):
         ]
         self.restore = Conv2d(rng, width, config.bands, 3)
 
-    def __call__(self, x):
-        hidden = self.embed(x)
+    def __call__(self, cube_values):
+        cube_values = np.asarray(cube_values, dtype=float)
+        if cube_values.ndim != 3 or cube_values.shape[0] != self.config.bands:
+            raise ShapeError(
+                f"encoder expects a ({self.config.bands}, H, W) cube, got {cube_values.shape}"
+            )
+        bands, height, width = cube_values.shape
+        grouped = cube_values.reshape(bands // BAND_GROUP, BAND_GROUP, height, width).mean(axis=1)
+        hidden = self.embed(Tensor(grouped))
         for block in self.blocks:
             hidden = block(hidden)
         return hidden, self.restore(hidden)

@@ -577,10 +577,7 @@ def pool_global(x, mode: str) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"pool_global input must be (C,H,W), got shape {x.shape}")
     if mode == "avg":
-        out = Tensor(x.data.mean(axis=(1, 2), keepdims=True))
-        n = x.shape[1] * x.shape[2]
-        _push(out, (x,), lambda g: (np.broadcast_to(g, x.shape) / n,))
-        return out
+        return mean_over(x, (1, 2), keepdims=True)
     if mode == "max":
         out = Tensor(x.data.max(axis=(1, 2), keepdims=True))
 

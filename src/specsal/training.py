@@ -16,9 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericError
 from .losses import compute_losses, mean_absolute_error
-from .model import group_bands
-from .spectral_attention import BAND_GROUP
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 
 @dataclass
@@ -145,13 +143,12 @@ def fit_reconstruction(encoder, cube_values, steps: int, learning_rate: float = 
     error). Used to show the restoration head actually learns the spectra.
     """
     cube_values = np.asarray(cube_values, dtype=float)
-    grouped = group_bands(cube_values, BAND_GROUP)
     optimizer = AdamOptimizer(encoder.parameters(), learning_rate)
     history = []
     for step in range(1, steps + 1):
         optimizer.zero_grad()
         with Tape() as tape:
-            _, restored = encoder(Tensor(grouped))
+            _, restored = encoder(cube_values)
             loss = mean_absolute_error(restored, cube_values)
         value = loss.item()
         if not np.isfinite(value):

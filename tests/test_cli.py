@@ -10,7 +10,7 @@ from specsal.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from specsal.cli import main
 from specsal.configio import model_config_from_dict
 from specsal.cube import HsiCube, calibrate, pseudo_color, read_cube, write_cube
-from specsal.imageio import read_float_map, read_pgm
+from specsal.imageio import read_float_map, read_pgm, write_float_map
 from specsal.masks import read_mask, write_mask
 from specsal.model import SaliencyModel, demo_model_config
 from specsal.scenes import scene_spec_to_dict, synth_scene, training_demo_scene_spec
@@ -165,8 +165,6 @@ def test_eval_perfect_prediction_and_pgm_fallback(tmp_path, workspace, capsys):
     gt = read_mask(workspace / "scene1.pgm")
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
-    from specsal.imageio import write_float_map
-
     write_float_map(gt.astype(np.float64), pred_dir / "scene1.f32")
     report_path = tmp_path / "eval.json"
     assert main([
@@ -215,6 +213,46 @@ def test_eval_missing_prediction_exits_two(tmp_path, workspace, capsys):
         "eval", "--manifest", str(workspace / "manifest.json"),
         "--pred-dir", str(empty), "--out", str(tmp_path / "r.json"),
     ]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_reads_no_cubes(tmp_path, workspace, capsys):
+    """eval reads only masks and predictions, so a manifest whose cube files
+    are gone scores to the same bytes."""
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    write_mask(read_mask(workspace / "scene1.pgm"), pred_dir / "scene1.pgm")
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("manifest.json", "scene0.pgm", "scene1.pgm"):
+        (bare / name).write_bytes((workspace / name).read_bytes())
+    reports = {}
+    for label, root in (("cubes", workspace), ("bare", bare)):
+        assert main([
+            "eval", "--manifest", str(root / "manifest.json"), "--pred-dir", str(pred_dir),
+            "--out", str(tmp_path / f"{label}.json"), "--csv", str(tmp_path / f"{label}.csv"),
+            "--attributes",
+        ]) == 0
+        reports[label] = [(tmp_path / f"{label}.{ext}").read_bytes() for ext in ("json", "csv")]
+    assert not list(bare.glob("*.hsv2"))
+    assert reports["bare"] == reports["cubes"]
+
+
+@pytest.mark.parametrize("defect", ["shape", "trailing-bytes"])
+def test_eval_bad_prediction_exits_two(defect, tmp_path, workspace, capsys):
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    if defect == "shape":  # evaluate_pair refuses a map that does not cover the mask
+        write_mask(np.ones((8, 8), dtype=np.uint8), pred_dir / "scene1.pgm")
+    else:  # a .f32 holding more floats than its header declares
+        write_float_map(np.zeros((32, 32)), pred_dir / "scene1.f32")
+        with open(pred_dir / "scene1.f32", "ab") as handle:
+            handle.write(np.zeros(8, dtype="<f4").tobytes())
+    assert main([
+        "eval", "--manifest", str(workspace / "manifest.json"),
+        "--pred-dir", str(pred_dir), "--out", str(tmp_path / "r.json"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -279,11 +317,7 @@ def test_infer_without_config_or_sidecar_exits_two(tmp_path, workspace, capsys):
         "infer", "--cube", str(workspace / "scene0.hsv2"),
         "--checkpoint", str(orphan), "--out", str(tmp_path / "p.pgm"),
     ]) == 2
-    assert main([
-        "infer", "--cube", str(workspace / "scene0.hsv2"),
-        "--checkpoint", str(orphan), "--config", str(workspace / "model.ckpt.json"),
-        "--out", str(tmp_path / "p.pgm"),
-    ]) == 0
+    assert not (tmp_path / "p.pgm").exists()
 
 
 def test_infer_nan_checkpoint_exits_three(tmp_path, workspace, capsys):
@@ -352,18 +386,21 @@ def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):
 @pytest.mark.parametrize("reader", ["manifest", "config", "checkpoint"])
 def test_non_utf8_input_exits_two(reader, tmp_path, workspace, capsys):
     bad = tmp_path / "bad"
+    checkpoint, sidecar = workspace / "model.ckpt", workspace / "model.ckpt.json"
     if reader == "checkpoint":
         # magic, one record, then a 1-byte parameter name that is not UTF-8
         bad.write_bytes(b"SSCK" + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"\xff")
+        (tmp_path / "bad.json").write_bytes(sidecar.read_bytes())
     else:
         bad.write_bytes(b'{"entries": ["\xff"]}')
+        # a checkpoint copied next to a sidecar that is not UTF-8
+        (tmp_path / "model.ckpt").write_bytes(checkpoint.read_bytes())
+        (tmp_path / "model.ckpt.json").write_bytes(bad.read_bytes())
     infer = ["infer", "--cube", str(workspace / "scene1.hsv2"), "--out", str(tmp_path / "p.pgm")]
     argv = {
         "manifest": ["stats", "--manifest", str(bad), "--out-dir", str(tmp_path / "stats")],
-        "config": infer + ["--checkpoint", str(workspace / "model.ckpt"), "--config", str(bad)],
-        "checkpoint": infer + [
-            "--checkpoint", str(bad), "--config", str(workspace / "model.ckpt.json"),
-        ],
+        "config": infer + ["--checkpoint", str(tmp_path / "model.ckpt")],
+        "checkpoint": infer + ["--checkpoint", str(bad)],
     }[reader]
     assert main(argv) == 2
     assert "utf-8" in capsys.readouterr().err.lower()
@@ -486,12 +523,15 @@ _FITTING = {"encoder": {"bands": 8, "heads": 1, "blocks": 1}, "stem_stride": 1, 
          "stats-grid-zero", "stats-grid-huge"],
 )
 def test_oversized_or_invalid_settings_exit_two_writing_nothing(command, flags, model, tmp_path, workspace, capsys):
-    config = tmp_path / "config.json"
+    # infer reads the config from the sidecar next to a copied checkpoint
+    checkpoint = tmp_path / "model.ckpt"
+    checkpoint.write_bytes((workspace / "model.ckpt").read_bytes())
+    config = tmp_path / "model.ckpt.json"
     config.write_text(json.dumps(model))
     out = tmp_path / "out"
     argv = {
         "infer": ["infer", "--cube", str(workspace / "scene1.hsv2"),
-                  "--checkpoint", str(workspace / "model.ckpt"), "--config", str(config),
+                  "--checkpoint", str(checkpoint),
                   "--out", str(out / "p.pgm"), "--float-out", str(out / "p.f32")],
         "train": ["train", "--manifest", str(workspace / "manifest.json"),
                   "--model-config", str(config), "--steps", "1",

@@ -1,0 +1,105 @@
+"""Binary readers under arbitrary bytes: only the package's errors escape.
+
+Each property writes a valid magic or header followed by arbitrary bytes and
+reads it back. A reader may return a value or raise ``SpecsalError`` (the CLI
+exits 2) or ``OSError``; anything else would be a traceback.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specsal.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
+from specsal.cube import _HEADER, CUBE_MAGIC, read_cube
+from specsal.exceptions import MaskFormatError, SpecsalError
+from specsal.imageio import read_float_map, read_pgm, write_float_map
+from specsal.masks import read_mask
+
+tails = st.binary(max_size=96)
+small = st.integers(min_value=0, max_value=4)
+examples = settings(max_examples=60, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "input.bin"
+
+
+def _read_or_refuse(read, path, payload: bytes):
+    path.write_bytes(payload)
+    try:
+        return read(path)
+    except (SpecsalError, OSError):
+        return None
+
+
+def _cube_prefixes():
+    header = st.builds(
+        lambda h, w, c, start, step: _HEADER.pack(CUBE_MAGIC, h, w, c, start, step),
+        small, small, small, st.floats(), st.floats(),
+    )
+    return st.just(CUBE_MAGIC) | header
+
+
+def _pgm_prefixes():
+    header = st.builds(lambda w, h: f"P5\n{w} {h}\n255\n".encode(), small, small)
+    return st.just(b"P5") | st.just(b"P5 ") | header
+
+
+def _float_map_prefixes():
+    return st.just(b"") | st.builds(lambda h, w: struct.pack("<II", h, w), small, small)
+
+
+def _checkpoint_prefixes():
+    count = st.builds(lambda n: CHECKPOINT_MAGIC + struct.pack("<I", n), small)
+    # one record whose name length is set, so the tail supplies the name bytes
+    named = st.builds(lambda n: CHECKPOINT_MAGIC + struct.pack("<IH", 1, n), small)
+    # one record named "w", cut after its rank byte
+    record = st.builds(
+        lambda rank: CHECKPOINT_MAGIC + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B", rank),
+        small,
+    )
+    return st.just(CHECKPOINT_MAGIC) | count | named | record
+
+
+@pytest.mark.parametrize(
+    "read, prefixes",
+    [
+        (read_cube, _cube_prefixes()),
+        (read_pgm, _pgm_prefixes()),
+        (read_mask, _pgm_prefixes()),
+        (read_float_map, _float_map_prefixes()),
+        (load_checkpoint, _checkpoint_prefixes()),
+    ],
+    ids=["cube", "pgm", "mask", "float-map", "checkpoint"],
+)
+def test_readers_raise_only_package_errors(read, prefixes, scratch):
+    @examples
+    @given(prefix=prefixes, tail=tails)
+    def check(prefix, tail):
+        _read_or_refuse(read, scratch, prefix + tail)
+
+    check()
+
+
+@examples
+@given(h=small, w=small, extra=st.integers(min_value=-3, max_value=3))
+def test_float_map_must_match_its_header_exactly(h, w, extra, scratch):
+    count = max(0, h * w + extra)
+    body = np.arange(count, dtype="<f4").tobytes()
+    values = _read_or_refuse(read_float_map, scratch, struct.pack("<II", h, w) + body)
+    if count == h * w:
+        np.testing.assert_array_equal(values, np.arange(h * w).reshape(h, w))
+    else:
+        assert values is None
+
+
+def test_float_map_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "map.f32"
+    write_float_map(np.zeros((2, 2)), path)
+    path.write_bytes(path.read_bytes() + np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(MaskFormatError, match=r"claims 2x2 \(16 bytes\), payload has 24"):
+        read_float_map(path)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import specsal.tensor as T
-from specsal.exceptions import ConfigError
+from specsal.exceptions import ConfigError, ShapeError
 from specsal.spectral_attention import (
+    BAND_GROUP,
     AdaptiveSpectralGate,
     EncoderConfig,
     SpectralAttentionBlock,
@@ -169,12 +170,24 @@ def test_encoder_config_validation():
 
 
 def test_encoder_returns_features_and_restored_bands():
+    """The encoder takes the raw cube and averages runs of BAND_GROUP bands itself."""
     config = EncoderConfig(bands=8, heads=2, blocks=1)
     encoder = SpectralEncoder(np.random.default_rng(12), config)
-    x = Tensor(np.random.default_rng(13).uniform(0.0, 1.0, (2, 6, 6)))
-    features, restored = encoder(x)
+    cube = np.random.default_rng(13).uniform(0.0, 1.0, (8, 6, 6))
+    features, restored = encoder(cube)
     assert features.shape == (2, 6, 6)
     assert restored.shape == (8, 6, 6)
+
+    grouped = sum(cube[i::BAND_GROUP] for i in range(BAND_GROUP)) / BAND_GROUP
+    hidden = encoder.embed(Tensor(grouped))
+    for block in encoder.blocks:
+        hidden = block(hidden)
+    np.testing.assert_array_equal(features.data, hidden.data)
+    np.testing.assert_array_equal(restored.data, encoder.restore(hidden).data)
+
+    for wrong in (cube[:4], cube[0], cube[None]):
+        with pytest.raises(ShapeError, match="encoder expects"):
+            encoder(wrong)
 
 
 def test_encoder_parameter_names_are_unique():
