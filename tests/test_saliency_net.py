@@ -24,7 +24,7 @@ from specsal.saliency_net import (
     block_ground_truth,
     resize_to,
 )
-from specsal.spectral_attention import EncoderConfig
+from specsal.spectral_attention import BAND_GROUP, EncoderConfig
 from specsal.tensor import Tape, Tensor
 
 
@@ -205,6 +205,33 @@ def test_trimap_head_distributions():
     assert (t.data >= 0).all()
     np.testing.assert_allclose(t.data.sum(axis=0), np.ones((6, 6)), atol=1e-12)
     assert set(np.unique(t.data.argmax(axis=0))) <= {0, 1, 2}
+
+
+def test_global_head_rejects_incompatible_grid():
+    """An incompatible grid is refused by ModelConfig before any head is built."""
+    encoder = EncoderConfig(bands=8, heads=1, blocks=1)
+    with pytest.raises(ConfigError, match="no integer factor with level size 12"):
+        ModelConfig(encoder, DecoderConfig(grid=8, attention_width=16), 1, 24)
+    config = ModelConfig(encoder, DecoderConfig(grid=3, attention_width=16), 1, 24)
+    assert config.level_sizes() == [24, 12, 6, 3]
+    SaliencyModel(None, config)
+
+
+def test_group_bands():
+    """The model's output depends on the cube only through its BAND_GROUP band means."""
+    config = tiny_model_config()
+    model = SaliencyModel(np.random.default_rng(27), config)
+    cube = np.random.default_rng(28).uniform(0, 1, config.cube_shape)
+    groups = cube.reshape(-1, BAND_GROUP, *cube.shape[1:])
+    shuffled = groups[:, ::-1].reshape(cube.shape)  # reorder bands within each group
+    flattened = np.repeat(groups.mean(axis=1), BAND_GROUP, axis=0)
+    reference = model(cube)
+    for variant in (shuffled, flattened):
+        out = model(variant)
+        np.testing.assert_allclose(out.saliency.data, reference.saliency.data, atol=1e-12)
+        np.testing.assert_allclose(out.restored.data, reference.restored.data, atol=1e-12)
+    with pytest.raises(ShapeError):
+        model.encoder(cube[:BAND_GROUP + 1])
 
 
 def test_model_config_validation():
