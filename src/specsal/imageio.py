@@ -58,9 +58,9 @@ def read_pgm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise MaskFormatError(f"{path}: bad dimensions {width}x{height}")
     need = width * height
-    data = payload[pos : pos + need]
-    if len(data) < need:
-        raise MaskFormatError(f"{path}: payload has {len(data)} bytes, needs {need}")
+    data = payload[pos:]
+    if len(data) != need:
+        raise MaskFormatError(f"{path}: payload has {len(data)} bytes, header claims {need}")
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
 
 

@@ -2,9 +2,9 @@
 
 Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor that
 also owns a gradient array. Differentiable ops are module-level functions; while
-a Tape is active they append a record per executed op, and Tape.backward
-consumes those records, popping each once in reverse execution order, and adds
-the gradient of each Parameter input it meets into that Parameter's .grad.
+a Tape is active it records each op with an input that needs a gradient, as
+gradient nodes and a closure that keeps only the shapes and arrays backward
+reads. Tape.backward pops each record once, in reverse execution order.
 
 Layout conventions: feature maps are (channels, height, width); token matrices
 are (tokens, channels); convolution is zero-padded cross-correlation, lowered
@@ -20,15 +20,20 @@ import numpy as np
 
 from .exceptions import ShapeError
 
-_state = threading.local()
+class _State(threading.local):
+    tape = None  # the thread's active Tape; a class default, so reading it never raises
+
+
+_state = _State()
 
 class Tensor:
-    """A dense float64 array with no gradient of its own; see Parameter."""
+    """A dense float64 array; ``node`` is set when a tape keeps the op that made it."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
+        self.node = None
 
     @property
     def shape(self):
@@ -50,7 +55,7 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A Tensor that Tape.backward accumulates a gradient into.
+    """A Tensor that Tape.backward accumulates a gradient into; its own node.
 
     ``grad`` is a plain array of the same shape, allocated on first use. Its
     name is its attribute path, which Module.named_parameters walks.
@@ -72,8 +77,20 @@ class Parameter(Tensor):
         self.grad[...] = 0.0
 
 
+class _Node:
+    """Where a kept record's output waits for its gradient during backward."""
+
+    __slots__ = ("tape", "pending")
+
+    def __init__(self, tape):
+        self.tape, self.pending = tape, None
+
+
 class Tape:
-    """Ordered record of executed ops, enough to replay the backward pass.
+    """Ordered records of executed ops, enough to replay the backward pass: each
+    is (output node, input nodes, backward fn). A Parameter is its own node; any
+    other input no kept record made, a Tensor from an earlier tape too, is a
+    constant with node None. Ops on constants alone are not kept.
 
     Single-owner: at most one tape is active per thread, and entering a second
     one raises. Ops executed while no tape is active are plain computations
@@ -81,11 +98,12 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (output Tensor, input Tensors, backward fn)
+        self._records = []
+        self._key = object()  # marks this tape's nodes without a reference back to it
         self._replayed = False
 
     def __enter__(self):
-        if active_tape() is not None:
+        if _state.tape is not None:
             raise RuntimeError("a tape is already active on this thread; tapes do not nest")
         _state.tape = self
         return self
@@ -94,8 +112,17 @@ class Tape:
         _state.tape = None
         return False
 
+    def _node(self, t):
+        if isinstance(t, Parameter):
+            return t
+        node = t.node
+        return node if node is not None and node.tape is self._key else None
+
     def record(self, out: Tensor, inputs, back) -> None:
-        self._records.append((out, inputs, back))
+        nodes = tuple(map(self._node, inputs))
+        if nodes.count(None) < len(nodes):
+            out.node = _Node(self._key)
+            self._records.append((out.node, nodes, back))
 
     def __len__(self):
         return len(self._records)
@@ -104,49 +131,51 @@ class Tape:
         """Accumulate d(loss)/d(param) into .grad of every Parameter on the tape.
 
         Consumes the tape: pops each record as it replays it, in reverse order,
-        so an op's output and closure are freed once no record left refers to
-        them. A Parameter input's gradient is added into its .grad at once;
-        every other input's waits in a pending dict until the record that made
-        it is replayed. A pending gradient holds its Tensor, so its id() stays
-        unique.
+        so its closure and the arrays it keeps are freed at once. A Parameter
+        input's gradient is added into its .grad at once; every other input's
+        waits on its node until the record that made it is replayed.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if self._replayed:
             raise RuntimeError("this tape was already replayed; record a new one")
         self._replayed = True
-        grads = {id(loss): (loss, np.ones_like(loss.data))}
+        if loss.node is not None and loss.node.tape is self._key:
+            loss.node.pending = np.ones_like(loss.data)
         while self._records:
             out, inputs, back = self._records.pop()
-            pending = grads.pop(id(out), None)
-            if pending is None:
+            g, out.pending = out.pending, None
+            if g is None:
                 continue  # not on a path to the loss
-            for inp, gi in zip(inputs, back(pending[1])):
-                if gi is None:
-                    continue
-                if isinstance(inp, Parameter):
-                    inp.grad[...] += gi
-                    continue
-                acc = grads.get(id(inp))
-                # Rebind, never add in place: backward functions may return views
-                # or the upstream array, and numpy makes 0-d results immutable.
-                grads[id(inp)] = (inp, gi if acc is None else acc[1] + gi)
-
-    def first_non_finite(self):
-        """Earliest recorded op whose output holds a NaN or infinity.
-
-        Returns (record index, op name, output Tensor), or None when every
-        recorded value is finite. The op name is recovered from the backward
-        closure's qualname, so records carry no extra bookkeeping.
-        """
-        for i, (out, _, back) in enumerate(self._records):
-            if not np.isfinite(out.data).all():
-                return i, back.__qualname__.split(".")[0], out
-        return None
+            for node, gi in zip(inputs, back(g)):
+                if type(node) is _Node:
+                    # Rebind, never add in place: backward functions may return views
+                    # or the upstream array, and numpy makes 0-d results immutable.
+                    node.pending = gi if node.pending is None else node.pending + gi
+                elif node is not None:  # a Parameter
+                    node.grad[...] += gi
 
 
-def active_tape():
-    return getattr(_state, "tape", None)
+class _WatchTape(Tape):
+    """Keeps no records; notes the first op output holding a NaN or infinity."""
+
+    ops, found = 0, None
+
+    def record(self, out, inputs, back):
+        if self.found is None and not np.isfinite(out.data).all():
+            self.found = (self.ops, back.__qualname__.split(".")[0], out)
+        self.ops += 1
+
+
+def first_non_finite(build):
+    """(op index, op name, output) of the first non-finite op output, or None.
+
+    Records keep no outputs, so this reruns the deterministic forward pass
+    build() under a tape that checks every op's output, constant-only ops too.
+    """
+    with _WatchTape() as watch:
+        build()
+    return watch.found
 
 
 def _as_tensor(x) -> Tensor:
@@ -154,9 +183,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def _push(out: Tensor, inputs, back) -> None:
-    tape = active_tape()
+    tape = _state.tape
     if tape is not None:
         tape.record(out, inputs, back)
+
+
+def _grad_shapes(a, b):
+    """Each operand's shape if the active tape will route a gradient to it, else None."""
+    tape = _state.tape
+    if tape is None:
+        return None, None
+    return tuple(t.shape if tape._node(t) is not None else None for t in (a, b))
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -178,39 +215,38 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
-    _push(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = _grad_shapes(a, b)
+    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
+                                  None if sb is None else _unbroadcast(g, sb)))
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
-    _push(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = _grad_shapes(a, b)
+    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
+                                  None if sb is None else _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
-    _push(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+    sa, sb = _grad_shapes(a, b)
+    ad, bd = None if sb is None else a.data, None if sa is None else b.data  # each reads the other
+    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
+                                  None if sb is None else _unbroadcast(g * ad, sb)))
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data / b.data)
-    _push(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
+    sa, sb = _grad_shapes(a, b)
+    ad, bd = None if sb is None else a.data, b.data
+    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
+                                  None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
     return out
 
 
@@ -225,29 +261,33 @@ def power(a, exponent: float) -> Tensor:
     """Elementwise a**exponent for a constant exponent."""
     a = _as_tensor(a)
     p = float(exponent)
-    out = Tensor(a.data**p)
-    _push(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    ad = a.data
+    out = Tensor(ad**p)
+    _push(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
     return out
 
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.abs(a.data))
-    _push(out, (a,), lambda g: (g * np.sign(a.data),))
+    ad = a.data
+    out = Tensor(np.abs(ad))
+    _push(out, (a,), lambda g: (g * np.sign(ad),))
     return out
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-    _push(out, (a,), lambda g: (g / a.data,))
+    ad = a.data
+    out = Tensor(np.log(ad))
+    _push(out, (a,), lambda g: (g / ad,))
     return out
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.exp(a.data))
-    _push(out, (a,), lambda g: (g * out.data,))
+    y = np.exp(a.data)
+    out = Tensor(y)
+    _push(out, (a,), lambda g: (g * y,))
     return out
 
 
@@ -313,8 +353,9 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    _push(out, (a,), lambda g: (g * (a.data > 0.0),))
+    y = np.maximum(a.data, 0.0)
+    out = Tensor(y)
+    _push(out, (a,), lambda g: (g * (y > 0.0),))  # y > 0 exactly where a > 0
     return out
 
 
@@ -323,20 +364,22 @@ def sigmoid(a) -> Tensor:
     # exp(-|x|) cannot overflow, and its underflow to 0 is the exact limit.
     with np.errstate(under="ignore"):
         e = np.exp(-np.abs(a.data))
-    out = Tensor(np.where(a.data >= 0.0, 1.0, e) / (1.0 + e))
-    _push(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
+    y = np.where(a.data >= 0.0, 1.0, e) / (1.0 + e)
+    out = Tensor(y)
+    _push(out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
 
 
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + _erf(a.data / math.sqrt(2.0)))
-    out = Tensor(a.data * cdf)
+    ad = a.data
+    cdf = 0.5 * (1.0 + _erf(ad / math.sqrt(2.0)))
+    out = Tensor(ad * cdf)
 
     def back(g):
-        pdf = np.exp(-0.5 * a.data * a.data) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + a.data * pdf),)
+        pdf = np.exp(-0.5 * ad * ad) / math.sqrt(2.0 * math.pi)
+        return (g * (cdf + ad * pdf),)
 
     _push(out, (a,), back)
     return out
@@ -372,7 +415,8 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(shape))
-    _push(out, (a,), lambda g: (g.reshape(a.shape),))
+    original = a.shape
+    _push(out, (a,), lambda g: (g.reshape(original),))
     return out
 
 
@@ -396,11 +440,11 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         )
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
-    index = tuple(index)
+    index, shape = tuple(index), a.shape
     out = Tensor(a.data[index])
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[index] = g
         return (full,)
 
@@ -413,18 +457,8 @@ def concat(parts, axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * p.ndim
-            index[axis] = slice(lo, hi)
-            grads.append(g[tuple(index)])
-        return tuple(grads)
-
-    _push(out, tuple(parts), back)
+    ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    _push(out, tuple(parts), lambda g: tuple(np.split(g, ends, axis=axis)))
     return out
 
 
@@ -440,11 +474,12 @@ def sum_over(a, axes=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axes, a.ndim)
     out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
+    shape = a.shape
 
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     _push(out, (a,), back)
     return out
@@ -453,13 +488,14 @@ def sum_over(a, axes=None, keepdims: bool = False) -> Tensor:
 def mean_over(a, axes=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axes, a.ndim)
-    count = math.prod(a.shape[ax] for ax in axes)
+    shape = a.shape
+    count = math.prod(shape[ax] for ax in axes)
     out = Tensor(a.data.sum(axis=axes, keepdims=keepdims) / count)  # np.mean's arithmetic
 
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     _push(out, (a,), back)
     return out
@@ -476,7 +512,10 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
-    _push(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    sa, sb = _grad_shapes(a, b)
+    ad, bd = None if sb is None else a.data, None if sa is None else b.data
+    _push(out, (a, b), lambda g: (None if sa is None else g @ bd.T,
+                                  None if sb is None else ad.T @ g))
     return out
 
 
@@ -493,9 +532,10 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
 
     Lowered to im2col (Chellapilla et al. 2006): one grouped matmul of the
     (groups, C_out/groups, rows) kernel with the (groups, rows, H_out*W_out)
-    im2col, groups = C_in if depthwise else 1. The tape keeps only x. The input
-    gradient is the transposed conv (Dumoulin & Visin 2016): g spread at the
-    stride, correlated at stride 1 with the flipped, per-group transposed kernel.
+    im2col, groups = C_in if depthwise else 1. Backward keeps x and the kernel
+    only for the gradient that reads each. The input gradient is the transposed
+    conv (Dumoulin & Visin 2016): g spread at the stride, correlated at stride 1
+    with the flipped, per-group transposed kernel.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 3:
@@ -531,13 +571,19 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
         return out.reshape(groups, -1, rows * cols)
 
     out = Tensor((km @ im2col(x.data, False)).reshape(c_out, ho, wo))
+    sx, sk = _grad_shapes(x, kernel)
+    xd, kd = None if sk is None else x.data, None if sx is None else kernel.data
 
     def back(g):
         gm = g.reshape(groups, c_out // groups, ho * wo)
-        gk = gm @ im2col(x.data, False).transpose(0, 2, 1)
-        flipped = kernel.data[:, :, ::-1, ::-1].reshape(groups, c_out // groups, c_k, kh * kw)
-        kt = flipped.transpose(0, 2, 1, 3).reshape(groups, c_k, -1)  # rows (o, u, v)
-        return (kt @ im2col(g, True)).reshape(c_in, h, w), gk.reshape(kernel.shape)
+        gx = gk = None
+        if sk is not None:
+            gk = (gm @ im2col(xd, False).transpose(0, 2, 1)).reshape(sk)
+        if sx is not None:
+            flipped = kd[:, :, ::-1, ::-1].reshape(groups, c_out // groups, c_k, kh * kw)
+            kt = flipped.transpose(0, 2, 1, 3).reshape(groups, c_k, -1)  # rows (o, u, v)
+            gx = (kt @ im2col(g, True)).reshape(sx)
+        return gx, gk
 
     _push(out, (x, kernel), back)
     return out
@@ -559,13 +605,15 @@ def channel_conv1d(x, kernel) -> Tensor:
     xv = x.data.reshape(c)
     xp = np.zeros(c + 2 * pad, dtype=xv.dtype)
     xp[pad : pad + c] = xv
-    out = Tensor(np.correlate(xp, kernel.data, mode="valid").reshape(c, 1, 1))
+    kd = kernel.data
+    out = Tensor(np.correlate(xp, kd, mode="valid").reshape(c, 1, 1))
+    sx, sk = _grad_shapes(x, kernel)
 
     def back(g):
         gv = g.reshape(c)
-        gk = np.correlate(xp, gv, mode="valid")
-        gx = np.convolve(gv, kernel.data, mode="full")[pad : pad + c]
-        return gx.reshape(c, 1, 1), gk
+        gk = None if sk is None else np.correlate(xp, gv, mode="valid")
+        gx = None if sx is None else np.convolve(gv, kd, mode="full")[pad : pad + c].reshape(sx)
+        return gx, gk
 
     _push(out, (x, kernel), back)
     return out
@@ -580,9 +628,10 @@ def pool_global(x, mode: str) -> Tensor:
         return mean_over(x, (1, 2), keepdims=True)
     if mode == "max":
         out = Tensor(x.data.max(axis=(1, 2), keepdims=True))
+        xd, y = x.data, out.data
 
         def back(g):
-            mask = x.data == out.data  # ties share the gradient evenly
+            mask = xd == y  # ties share the gradient evenly
             counts = mask.sum(axis=(1, 2), keepdims=True)
             return (mask * (g / counts),)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericError
 from .losses import compute_losses, mean_absolute_error
-from .tensor import Tape
+from .tensor import Tape, first_non_finite
 
 
 @dataclass
@@ -70,8 +70,8 @@ class AdamOptimizer:
             )
 
 
-def _abort_non_finite(tape: Tape, context: str):
-    found = tape.first_non_finite()
+def _abort_non_finite(build, context: str):
+    found = first_non_finite(build)
     if found is None:
         raise NumericError(f"{context}, but every taped tensor is finite")
     index, op, out = found
@@ -91,10 +91,10 @@ def train_step(model, cube_values, mask, optimizer):
     """One forward/backward/update on a single (cube, mask) pair."""
     optimizer.zero_grad()
     with Tape() as tape:
-        output = model(cube_values)
-        total, report = compute_losses(output, cube_values, mask)
+        total, report = compute_losses(model(cube_values), cube_values, mask)
     if not np.isfinite(report.total):
-        _abort_non_finite(tape, f"loss is {report.total}")
+        _abort_non_finite(lambda: compute_losses(model(cube_values), cube_values, mask),
+                          f"loss is {report.total}")
     tape.backward(total)
     _check_gradients_finite(model.parameters_by_name.items(), f"update {optimizer.updates + 1}")
     optimizer.step()
@@ -148,11 +148,11 @@ def fit_reconstruction(encoder, cube_values, steps: int, learning_rate: float = 
     for step in range(1, steps + 1):
         optimizer.zero_grad()
         with Tape() as tape:
-            _, restored = encoder(cube_values)
-            loss = mean_absolute_error(restored, cube_values)
+            loss = mean_absolute_error(encoder(cube_values)[1], cube_values)
         value = loss.item()
         if not np.isfinite(value):
-            _abort_non_finite(tape, f"reconstruction loss is {value} at step {step}")
+            _abort_non_finite(lambda: mean_absolute_error(encoder(cube_values)[1], cube_values),
+                              f"reconstruction loss is {value} at step {step}")
         tape.backward(loss)
         _check_gradients_finite(encoder.named_parameters(), f"reconstruction step {step}")
         optimizer.step()

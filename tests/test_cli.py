@@ -256,6 +256,23 @@ def test_eval_bad_prediction_exits_two(defect, tmp_path, workspace, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_eval_mask_with_trailing_bytes_exits_two(tmp_path, capsys):
+    # a 2x2 mask header followed by 6 payload bytes used to read as the first 4
+    (tmp_path / "m.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([255, 0, 0, 255, 255, 255]))
+    write_float_map(np.zeros((2, 2)), tmp_path / "m.f32")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"id": "m", "cube": "m.hsv2", "mask": "m.pgm", "split": "test"}]}))
+    assert main([
+        "eval", "--manifest", str(manifest), "--pred-dir", str(tmp_path),
+        "--out", str(tmp_path / "r.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "payload has 6 bytes" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_train_empty_split_exits_two(tmp_path, workspace, capsys):
     assert main([
         "train", "--manifest", str(workspace / "manifest.json"),

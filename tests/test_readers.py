@@ -103,3 +103,13 @@ def test_float_map_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + np.ones(2, dtype="<f4").tobytes())
     with pytest.raises(MaskFormatError, match=r"claims 2x2 \(16 bytes\), payload has 24"):
         read_float_map(path)
+
+
+@pytest.mark.parametrize("read", [read_pgm, read_mask], ids=["pgm", "mask"])
+def test_pgm_rejects_trailing_bytes(read, tmp_path):
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes([255, 0, 0, 255]))
+    np.testing.assert_array_equal(read_pgm(path), [[255, 0], [0, 255]])
+    path.write_bytes(path.read_bytes() + bytes([255, 255]))
+    with pytest.raises(MaskFormatError, match="payload has 6 bytes, header claims 4"):
+        read(path)

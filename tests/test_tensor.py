@@ -228,8 +228,8 @@ def test_conv2d_keeps_no_im2col_on_the_tape():
 
 
 def test_conv2d_keeps_no_padded_input_on_the_tape():
-    # the tape holds the output and the closure; x is on the tape already, and
-    # a zero-padded copy of it (1.13 x for 32x32 at 3x3) would be rebuilt
+    # the caller holds the output, and the closure keeps only x, which the
+    # caller holds too; a zero-padded copy of x (1.13 x for 32x32 at 3x3) is rebuilt
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(8, 32, 32)))
     k = Parameter(rng.normal(size=(8, 8, 3, 3)))
@@ -447,6 +447,47 @@ def test_backward_releases_each_record_once_replayed():
     assert len(tape) == 0
     assert held < 3 * n * p.data.itemsize
     np.testing.assert_array_equal(p.grad, np.ones(n))
+
+
+def test_records_keep_no_op_outputs():
+    # add's backward reads only shapes, so after a 50-op chain the caller's
+    # last output is the only large array left; the tape holds none
+    n = 100_000
+    p = Parameter(np.ones(n))
+
+    def forward():
+        with Tape() as tape:
+            y = p
+            for _ in range(50):
+                y = T.add(y, 1.0)
+            loss = T.sum_over(y)
+        return tape, loss
+
+    (tape, loss), held = traced_held_bytes(forward)
+    assert len(tape) == 51
+    assert held <= 2 * n * p.data.itemsize
+    tape.backward(loss)
+    np.testing.assert_array_equal(p.grad, np.ones(n))
+
+
+def test_tensor_from_an_earlier_tape_is_a_constant():
+    p = Parameter(np.array([1.0, 2.0]))
+    with Tape() as first:
+        stale = T.mul(p, 3.0)
+        first_loss = T.sum_over(stale)
+    with Tape() as second:
+        loss = T.sum_over(T.mul(stale, p))  # d/dp = stale, with stale held fixed
+    assert len(second) == 2
+    second.backward(loss)
+    np.testing.assert_array_equal(p.grad, [3.0, 6.0])
+    p.zero_grad()
+    first.backward(first_loss)  # the second tape left nothing pending on the first's nodes
+    np.testing.assert_array_equal(p.grad, [3.0, 3.0])
+    with Tape() as third:  # now from a finished tape, and as the loss itself
+        T.mul(stale, 2.0)
+    assert len(third) == 0
+    third.backward(first_loss)
+    np.testing.assert_array_equal(p.grad, [3.0, 3.0])
 
 
 def test_parameter_allocates_its_gradient_on_first_use():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,55 @@ def test_train_step_aborts_on_non_finite_loss_with_op_name():
     poisoned.data.flat[0] = np.nan
     with pytest.raises(NumericError, match="op '"):
         train_step(model, cube, mask, opt)
+
+
+def test_fit_reconstruction_aborts_on_non_finite_loss_with_op_name():
+    cube, _ = _demo_example()
+    encoder = SpectralEncoder(np.random.default_rng(0), tiny_model_config().encoder)
+    encoder.parameters()[0].data.flat[0] = np.nan
+    with pytest.raises(NumericError, match=r"reconstruction loss is nan at step 1; first "
+                       r"non-finite tensor came from op '\w+' \(tape record \d+, shape"):
+        fit_reconstruction(encoder, cube, steps=2)
+
+
+def test_backward_returns_no_gradient_for_constant_operands():
+    # an operand with no node (not a Parameter, not a kept record's output)
+    # gets None from its op's backward, so nothing computes a dropped gradient
+    cube, mask = synth_scene(training_demo_scene_spec(), 4)
+    model = SaliencyModel(np.random.default_rng(2), demo_model_config())
+    with T.Tape() as tape:
+        total, _ = compute_losses(model(cube.data), cube.data, mask.astype(float))
+    replayed = []
+
+    def checked(inputs, back):
+        def replay(g):
+            grads = back(g)
+            replayed.append(([n is None for n in inputs], [gi is None for gi in grads]))
+            return grads
+
+        return replay
+
+    tape._records = [(out, inputs, checked(inputs, back)) for out, inputs, back in tape._records]
+    tape.backward(total)
+    assert len(replayed) > 1000
+    assert all(constant == dropped for constant, dropped in replayed)
+    assert sum(sum(constant) for constant, _ in replayed) > 0  # constants do occur
+
+
+def test_demo_train_step_peak_memory():
+    # records keep only what backward reads: 8.0 MB on numpy 2.4, against
+    # 19.0 MB when every record kept its op's inputs and output
+    cube, mask = synth_scene(training_demo_scene_spec(), 4)
+    model = SaliencyModel(np.random.default_rng(2), demo_model_config())
+    opt = AdamOptimizer(model.parameters())
+    train_step(model, cube.data, mask.astype(float), opt)  # allocates gradients and moments
+    tracemalloc.start()
+    try:
+        train_step(model, cube.data, mask.astype(float), opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_gradient_finiteness_check_names_parameter():
