@@ -112,19 +112,19 @@ def model_config_to_dict(config: ModelConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def load_json_document(path) -> dict:
-    """Parse a JSON object file, mapping parse failures to ConfigError."""
+def load_json_document(path, error: type[DataError] = ConfigError) -> dict:
+    """Parse a JSON object file, mapping read and parse failures to ``error``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
-        raise ConfigError(f"{path}: {err}") from err
+        raise error(f"{path}: {err}") from err
     except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: not UTF-8 text ({err})") from err
+        raise error(f"{path}: not UTF-8 text ({err})") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
+        raise error(f"{path}: invalid JSON ({err})") from err
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise error(f"{path}: top level must be a JSON object")
     return doc

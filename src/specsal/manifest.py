@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import from_dict
+from .configio import from_dict, load_json_document
 from .exceptions import ManifestError
 from .imageio import write_text_atomic
 from .masks import EmptyMaskError, centroid, foreground_scale, read_mask
@@ -81,12 +81,8 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
-    return from_dict(DatasetManifest, doc, str(path), ManifestError)
+    return from_dict(DatasetManifest, load_json_document(path, ManifestError), str(path),
+                     ManifestError)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

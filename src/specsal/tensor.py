@@ -156,26 +156,40 @@ class Tape:
                     node.grad[...] += gi
 
 
-class _WatchTape(Tape):
-    """Keeps no records; notes the first op output holding a NaN or infinity."""
+# The ops whose derivative jumps where they switch branch.
+KINKED_OPS = frozenset({"relu", "absolute", "clip", "pool_global"})
 
-    ops, found = 0, None
+
+class _WatchTape(Tape):
+    """Keeps no records; notes the first op output holding a NaN or infinity and,
+    per kinked op, where out == input: a >= 0 for relu and absolute, inside the
+    bounds for clip, the argmax for max pooling. Constant-only ops count too."""
+
+    ops, found, pattern = 0, None, ()
 
     def record(self, out, inputs, back):
+        op = back.__qualname__.split(".")[0]
         if self.found is None and not np.isfinite(out.data).all():
-            self.found = (self.ops, back.__qualname__.split(".")[0], out)
+            self.found = (self.ops, op, out)
+        if op in KINKED_OPS:
+            self.pattern += ((out.data == inputs[0].data).tobytes(),)
         self.ops += 1
 
 
 def first_non_finite(build):
-    """(op index, op name, output) of the first non-finite op output, or None.
-
-    Records keep no outputs, so this reruns the deterministic forward pass
-    build() under a tape that checks every op's output, constant-only ops too.
-    """
+    """(op index, op name, output) of the first non-finite op output, or None;
+    records keep no outputs, so this reruns the forward pass build()."""
     with _WatchTape() as watch:
         build()
     return watch.found
+
+
+def branch_pattern(build):
+    """(build(), pattern): equal patterns mean two runs of build() took the
+    same smooth piece of every kinked op (one mask per op, in run order)."""
+    with _WatchTape() as watch:
+        result = build()
+    return result, watch.pattern
 
 
 def _as_tensor(x) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericError
 from .losses import compute_losses, mean_absolute_error
-from .tensor import Tape, first_non_finite
+from .tensor import Tape, branch_pattern, first_non_finite
 
 
 @dataclass
@@ -173,8 +173,9 @@ def jitter_parameters(parameters, seed: int = 0) -> None:
     Symmetric initialization puts some activations exactly on relu kinks
     (zero-init biases plus exactly-mean-free normalized maps cancel to 0 on
     degenerate 1x1 levels), where finite differences and subgradients
-    legitimately disagree. Gradient checks perturb away from that
-    measure-zero set first; training never needs this.
+    legitimately disagree, and the audit skips such scalars: unjittered, whole
+    groups of the tiny model would check none and fail. Gradient checks
+    perturb away from that measure-zero set first; training never needs this.
     """
     rng = np.random.default_rng(seed)
     for p in parameters:
@@ -211,83 +212,72 @@ class GroupCheckReport:
     worst_index: tuple
 
 
-def _central_difference(loss_builder, values, idx, step):
+def _kink_free_derivative(loss_builder, values, idx, pattern):
+    """Richardson value (4 fd(h/2) - fd(h)) / 3 of d(loss)/d(values[idx]) at the widest
+    h of 1e-5, 1e-6, ..., 1e-9 whose probes x +- h, x +- h/2 all take ``pattern``, else None."""
     origin = values[idx]
-    values[idx] = origin + step
-    upper = float(loss_builder().data)
-    values[idx] = origin - step
-    lower = float(loss_builder().data)
-    values[idx] = origin
-    return (upper - lower) / (2.0 * step)
+    for step in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        losses = []
+        for offset in (step, -step, step / 2.0, -step / 2.0):
+            values[idx] = origin + offset
+            loss, probe = branch_pattern(loss_builder)
+            if probe != pattern:
+                break
+            losses.append(float(loss.data))
+        values[idx] = origin
+        if len(losses) == 4:
+            fd, fd_half = (losses[0] - losses[1]) / (2.0 * step), (losses[2] - losses[3]) / step
+            return (4.0 * fd_half - fd) / 3.0
+    return None
 
 
 def grad_check_suite(named_parameters, loss_builder, samples_per_group: int = 20, seed: int = 0):
     """Tape gradients vs. central finite differences, sampled per group.
 
     ``loss_builder`` must rebuild the scalar loss from the parameters' current
-    values; it runs once under a tape and then four times per sampled scalar
-    without one. Relative errors use an absolute floor of 1e-5 so gradients
-    near zero are compared at the finite-difference noise scale instead of
-    blowing up the ratio.
-
-    Finite differences only measure gradients where the loss is smooth across
-    the probe interval. Coordinates whose relu-style kinks fall inside the
-    interval (detected by comparing the estimates at step and step/2, which
-    disagree at O(1) across a kink but at O(step^2) on smooth stretches) are
-    swapped for other coordinates of the same group; a genuinely wrong tape
-    gradient keeps its consistent finite difference and is still reported.
-    On the smooth coordinates the tape gradient is compared with the
-    Richardson extrapolation (4 fd(step/2) - fd(step)) / 3, which cancels the
-    central difference's O(step^2) truncation term, so a high-curvature
-    coordinate is not mistaken for a wrong gradient.
+    values; it runs once under a tape, then under a watch tape at x and at
+    every probe. Relative errors floor the scale at 1e-5, the noise level of
+    a finite difference. The loss is piecewise smooth, its kinks located by
+    the branch pattern of tensor.KINKED_OPS (Griewank 2013, "On stable
+    piecewise linearization and generalized algorithmic differentiation"): a
+    scalar is scored only from probes that take the pattern at x
+    (_kink_free_derivative), else swapped for the next of its group. A group
+    that checks fewer than min(samples_per_group, its scalar count) raises
+    NumericError naming it.
     """
-    step = 1e-5  # the probe half-width
     params = list(named_parameters)
     for _, p in params:
         p.zero_grad()
     with Tape() as tape:
         loss = loss_builder()
     tape.backward(loss)
+    _, pattern = branch_pattern(loss_builder)
 
     groups = {}
     for name, p in params:
         groups.setdefault(parameter_group(name), []).append((name, p))
 
-    rng = np.random.default_rng(seed)
-    reports = []
+    rng, reports = np.random.default_rng(seed), []
     for group in sorted(groups):
-        coords = [
-            (name, p, idx)
-            for name, p in groups[group]
-            for idx in np.ndindex(p.shape)
-        ]
-        order = rng.permutation(len(coords))
-        measured = []
-        skipped = []
-        for pos in order:
-            if len(measured) >= samples_per_group:
+        coords = [(name, p, idx) for name, p in groups[group] for idx in np.ndindex(p.shape)]
+        wanted = min(samples_per_group, len(coords))
+        worst_rel, worst_name, worst_index, checked = 0.0, "", (), 0
+        for pos in rng.permutation(len(coords)):
+            if checked == wanted:
                 break
             name, p, idx = coords[pos]
-            fd = _central_difference(loss_builder, p.data, idx, step)
-            fd_half = _central_difference(loss_builder, p.data, idx, step / 2.0)
-            if abs(fd - fd_half) > max(1e-6, 1e-3 * max(abs(fd), abs(fd_half))):
-                skipped.append((name, p, idx, fd))
+            fd = _kink_free_derivative(loss_builder, p.data, idx, pattern)
+            if fd is None:
                 continue
-            measured.append((name, p, idx, (4.0 * fd_half - fd) / 3.0))
-        # degenerate fallback: a group so kink-ridden it cannot fill its
-        # quota still reports its non-smooth coordinates honestly
-        while len(measured) < samples_per_group and skipped:
-            measured.append(skipped.pop(0))
-
-        worst_rel, worst_name, worst_index = 0.0, "", ()
-        for name, p, idx, fd in measured:
+            checked += 1
             got = float(p.grad[idx])
             rel = abs(fd - got) / max(1e-5, abs(fd), abs(got))
             if rel > worst_rel:
                 worst_rel, worst_name, worst_index = rel, name, idx
-        reports.append(
-            GroupCheckReport(group, len(measured), worst_rel, worst_name, worst_index)
-        )
+        if checked < wanted:
+            raise NumericError(f"gradient audit checked {checked} of {wanted} scalars in group "
+                               f"'{group}'; the rest sit on kinks down to h = 1e-9")
+        reports.append(GroupCheckReport(group, checked, worst_rel, worst_name, worst_index))
     return reports
 
 

@@ -70,6 +70,11 @@ def test_load_rejects_invalid_json(tmp_path):
         load_manifest(path)
 
 
+def test_load_rejects_a_directory(tmp_path):
+    with pytest.raises(ManifestError):
+        load_manifest(tmp_path)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ManifestError, match="duplicate"):
         DatasetManifest([entry(0), entry(0)])

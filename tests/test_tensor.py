@@ -756,3 +756,22 @@ def test_uniform_init_bound_and_determinism():
     np.testing.assert_array_equal(a, b)
     c = uniform_init(np.random.default_rng(10), (100, 100), fan_in)
     assert not np.array_equal(a, c)
+
+
+# How to cross each kinked op's kink as its input goes from -1e-3 to +1e-3.
+KINK_CROSSINGS = {
+    "relu": lambda op, a: op(a),
+    "absolute": lambda op, a: op(a),
+    "clip": lambda op, a: op(1.0 + a, 0.0, 1.0),  # across the upper bound
+    "pool_global": lambda op, a: op(np.array([[[a, 0.0]]]), "max"),  # across the argmax
+}
+
+
+@pytest.mark.parametrize("name", sorted(T.KINKED_OPS))
+def test_kinked_op_switches_branch_pattern_across_its_kink(name):
+    op = getattr(T, name)
+    assert callable(op)
+    _, above = T.branch_pattern(lambda: KINK_CROSSINGS[name](op, 1e-3))
+    _, below = T.branch_pattern(lambda: KINK_CROSSINGS[name](op, -1e-3))
+    assert len(above) == len(below) == 1
+    assert above != below

@@ -331,6 +331,28 @@ def test_gradcheck_reports_offending_group():
     assert bad[0].max_rel_error == pytest.approx(1.0, rel=1e-6)
 
 
+def test_gradcheck_fails_a_group_it_cannot_fill():
+    # every scalar sits exactly on a relu kink, so no probe step is kink-free
+    weight = Parameter(np.zeros(3))
+    with pytest.raises(NumericError, match="checked 0 of 3 scalars in group 'conv_kernels'"):
+        grad_check_suite([("weight", weight)], lambda: T.sum_over(T.relu(weight)))
+
+
+def test_gradcheck_shrinks_its_step_and_still_catches_a_wrong_gradient_near_a_kink():
+    def too_steep(a):
+        # doubles its input, but its backward claims a slope 1e-3 too large
+        out = Tensor(2.0 * a.data)
+        T._push(out, (a,), lambda g: (g * 2.0 * (1.0 + 1e-3),))
+        return out
+
+    # relu kinks 5e-7 and 3e-7 away: probes at h = 1e-5 and 1e-6 cross them
+    weight = Parameter(np.array([5e-7, 3e-7]))
+    reports = grad_check_suite([("weight", weight)], lambda: T.sum_over(T.relu(too_steep(weight))))
+    assert reports[0].checked == 2
+    assert reports[0].max_rel_error == pytest.approx(1e-3 / 1.001, rel=1e-4)
+    assert [r.group for r in failing_groups(reports, 1e-4)] == ["conv_kernels"]
+
+
 def test_jitter_is_seeded_and_bounded():
     def fresh():
         return [Parameter(np.zeros(100))]
