@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from .imageio import (
     write_ppm,
     write_text_atomic,
 )
-from .losses import compute_losses
 from .manifest import (
     attribute_histogram,
     centroid_heatmap,
@@ -45,7 +45,7 @@ from .manifest import (
 )
 from .masks import read_mask, write_mask
 from .metrics import MetricReport, attribute_eval, evaluate_pair
-from .model import SaliencyModel, demo_model_config, tiny_model_config
+from .model import SaliencyModel, demo_model_config
 from .scenes import (
     color_similar_scene_spec,
     reconstruction_demo_scene_spec,
@@ -58,7 +58,7 @@ from .training import (
     TrainConfig,
     failing_groups,
     grad_check_suite,
-    jitter_parameters,
+    tiny_model_audit,
     train_loop,
 )
 
@@ -267,44 +267,17 @@ def _cmd_stats(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    config = tiny_model_config()
-    model = SaliencyModel(np.random.default_rng(args.seed), config)
-    jitter_parameters(model.parameters(), seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    cube = rng.random((config.encoder.bands, config.input_size, config.input_size))
-    mask = (rng.random((config.input_size, config.input_size)) > 0.6).astype(np.float64)
-
-    def loss_builder():
-        total, _ = compute_losses(model(cube), cube, mask)
-        return total
-
-    reports = grad_check_suite(
-        model.named_parameters(),
-        loss_builder,
-        samples_per_group=args.samples,
-        seed=args.seed,
-    )
+    model, loss_builder = tiny_model_audit(args.seed)
+    reports = grad_check_suite(model.named_parameters(), loss_builder,
+                               samples_per_group=args.samples, seed=args.seed)
     for report in reports:
         print(
             f"{report.group}: checked {report.checked}, max rel error "
             f"{report.max_rel_error:.3e} ({report.worst_parameter} @ {report.worst_index})"
         )
     if args.report is not None:
-        _write_json(
-            {
-                "tolerance": GRADCHECK_TOLERANCE,
-                "groups": {
-                    r.group: {
-                        "checked": r.checked,
-                        "max_rel_error": r.max_rel_error,
-                        "worst_parameter": r.worst_parameter,
-                        "worst_index": list(r.worst_index),
-                    }
-                    for r in reports
-                },
-            },
-            args.report,
-        )
+        groups = {r.group: {k: v for k, v in asdict(r).items() if k != "group"} for r in reports}
+        _write_json({"tolerance": GRADCHECK_TOLERANCE, "groups": groups}, args.report)
     failed = failing_groups(reports, GRADCHECK_TOLERANCE)
     if failed:
         names = ", ".join(r.group for r in failed)

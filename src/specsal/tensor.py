@@ -160,26 +160,35 @@ class Tape:
 KINKED_OPS = frozenset({"relu", "absolute", "clip", "pool_global"})
 
 
-class _WatchTape(Tape):
-    """Keeps no records; notes the first op output holding a NaN or infinity and,
-    per kinked op, where out == input: a >= 0 for relu and absolute, inside the
-    bounds for clip, the argmax for max pooling. Constant-only ops count too."""
+def _op_name(back) -> str:
+    return back.__qualname__.partition(".")[0]
 
-    ops, found, pattern = 0, None, ()
+
+class _FiniteWatch(Tape):
+    """Keeps no records; notes the first op output holding a NaN or infinity.
+    Constant-only ops count too."""
+
+    ops, found = 0, None
 
     def record(self, out, inputs, back):
-        op = back.__qualname__.split(".")[0]
         if self.found is None and not np.isfinite(out.data).all():
-            self.found = (self.ops, op, out)
-        if op in KINKED_OPS:
-            self.pattern += ((out.data == inputs[0].data).tobytes(),)
+            self.found = (self.ops, _op_name(back), out)
         self.ops += 1
+
+
+class _BranchWatch(Tape):
+    """Its records are, per kinked op, the mask where out == input: a >= 0 for
+    relu and absolute, inside the bounds for clip, the argmax for max pooling."""
+
+    def record(self, out, inputs, back):
+        if _op_name(back) in KINKED_OPS:
+            self._records.append((out.data == inputs[0].data).tobytes())
 
 
 def first_non_finite(build):
     """(op index, op name, output) of the first non-finite op output, or None;
     records keep no outputs, so this reruns the forward pass build()."""
-    with _WatchTape() as watch:
+    with _FiniteWatch() as watch:
         build()
     return watch.found
 
@@ -187,9 +196,9 @@ def first_non_finite(build):
 def branch_pattern(build):
     """(build(), pattern): equal patterns mean two runs of build() took the
     same smooth piece of every kinked op (one mask per op, in run order)."""
-    with _WatchTape() as watch:
+    with _BranchWatch() as watch:
         result = build()
-    return result, watch.pattern
+    return result, watch._records
 
 
 def _as_tensor(x) -> Tensor:

@@ -16,7 +16,6 @@ import numpy as np
 from specsal.baselines import luminance_contrast_map, sad_map
 from specsal.cli import main
 from specsal.cube import read_cube, write_cube
-from specsal.losses import compute_losses
 from specsal.manifest import (
     SCALE_BIN_EDGES,
     attribute_histogram,
@@ -45,8 +44,8 @@ from specsal.training import (
     TrainConfig,
     fit_reconstruction,
     grad_check_suite,
-    jitter_parameters,
     parameter_group,
+    tiny_model_audit,
     train_loop,
 )
 
@@ -58,17 +57,7 @@ def test_gradient_audit_tiny_model_under_tolerance_and_budget():
     to a relative error below 1e-4, sampling 20 scalars per parameter family
     (every scalar when a family is smaller), in under 60 seconds."""
     started = time.perf_counter()
-    config = tiny_model_config()
-    model = SaliencyModel(np.random.default_rng(0), config)
-    jitter_parameters(model.parameters(), seed=0)
-    rng = np.random.default_rng(1)
-    cube = rng.random((config.encoder.bands, config.input_size, config.input_size))
-    mask = (rng.random((config.input_size, config.input_size)) > 0.6).astype(np.float64)
-
-    def loss_builder():
-        total, _ = compute_losses(model(cube), cube, mask)
-        return total
-
+    model, loss_builder = tiny_model_audit(0)  # what `specsal gradcheck --seed 0` audits
     reports = grad_check_suite(model.named_parameters(), loss_builder, seed=0)
 
     census = Counter()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from specsal import tensor as T
 from specsal.baselines import sad_map
 from specsal.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from specsal.cli import main
@@ -13,7 +14,9 @@ from specsal.cube import HsiCube, calibrate, pseudo_color, read_cube, write_cube
 from specsal.imageio import read_float_map, read_pgm, write_float_map
 from specsal.masks import read_mask, write_mask
 from specsal.model import SaliencyModel, demo_model_config
+from specsal.nn import Module
 from specsal.scenes import scene_spec_to_dict, synth_scene, training_demo_scene_spec
+from specsal.tensor import Parameter
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +394,23 @@ def test_gradcheck_seed_with_high_curvature_coordinate_passes(seed, capsys):
     # h and h/2 both straddle, and seeds 17 and 22 sample to_out.weight[1, 0]
     # next to a kink in the 4-scalar attention_output group
     assert main(["gradcheck", "--seed", str(seed)]) == 0
+
+
+def test_gradcheck_exits_three_on_a_non_finite_finite_difference(monkeypatch, tmp_path, capsys):
+    # sum(log(w)) at w = 3e-6: the probe at w - h takes the log of a negative number
+    class LogModel(Module):
+        def __init__(self):
+            self.weight = Parameter(np.array([3e-6]))
+
+    model = LogModel()
+    monkeypatch.setattr("specsal.cli.tiny_model_audit",
+                        lambda seed: (model, lambda: T.sum_over(T.log(model.weight))))
+    report_path = tmp_path / "grad.json"
+    with np.errstate(invalid="ignore"):
+        code = main(["gradcheck", "--samples", "1", "--report", str(report_path)])
+    assert code == 3
+    assert "max rel error inf (weight @ (0,))" in capsys.readouterr().out
+    assert json.loads(report_path.read_text())["groups"]["conv_kernels"]["max_rel_error"] == float("inf")
 
 
 def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):

@@ -110,7 +110,7 @@ def test_fit_reconstruction_aborts_on_non_finite_loss_with_op_name():
     cube, _ = _demo_example()
     encoder = SpectralEncoder(np.random.default_rng(0), tiny_model_config().encoder)
     encoder.parameters()[0].data.flat[0] = np.nan
-    with pytest.raises(NumericError, match=r"reconstruction loss is nan at step 1; first "
+    with pytest.raises(NumericError, match=r"loss is nan at reconstruction step 1; first "
                        r"non-finite tensor came from op '\w+' \(tape record \d+, shape"):
         fit_reconstruction(encoder, cube, steps=2)
 
@@ -155,18 +155,26 @@ def test_demo_train_step_peak_memory():
     assert peak < 12e6
 
 
-def test_gradient_finiteness_check_names_parameter():
+def test_gradient_finiteness_check_names_parameter(monkeypatch):
+    # a finite loss whose backward pass manufactures an inf is hard to build
+    # from real layers, so the loss gains a planted op on one parameter
     cube, mask = _demo_example()
     model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
-
-    # a finite loss whose backward pass manufactures an inf is hard to build
-    # from real layers, so exercise the guard through the helper directly
-    from specsal.training import _check_gradients_finite
-
     name, target = list(model.parameters_by_name.items())[3]
-    target.grad.flat[0] = np.inf
-    with pytest.raises(NumericError, match=f"gradient for {name} at update 1"):
-        _check_gradients_finite(model.parameters_by_name.items(), "update 1")
+
+    def infinite_slope(a):
+        # a constant 0 whose backward claims an infinite slope
+        out = Tensor(0.0)
+        T._push(out, (a,), lambda g: (np.full(a.shape, np.inf),))
+        return out
+
+    def planted_losses(output, cube_values, mask):
+        total, report = compute_losses(output, cube_values, mask)
+        return T.add(total, infinite_slope(target)), report
+
+    monkeypatch.setattr("specsal.training.compute_losses", planted_losses)
+    with pytest.raises(NumericError, match=f"non-finite gradient for {name} at update 1$"):
+        train_step(model, cube, mask, AdamOptimizer(model.parameters()))
 
 
 def test_train_loop_writes_fixed_jsonl_keys():
@@ -350,6 +358,30 @@ def test_gradcheck_shrinks_its_step_and_still_catches_a_wrong_gradient_near_a_ki
     reports = grad_check_suite([("weight", weight)], lambda: T.sum_over(T.relu(too_steep(weight))))
     assert reports[0].checked == 2
     assert reports[0].max_rel_error == pytest.approx(1e-3 / 1.001, rel=1e-4)
+    assert [r.group for r in failing_groups(reports, 1e-4)] == ["conv_kernels"]
+
+
+def test_gradcheck_stops_on_a_non_finite_tape_gradient():
+    def nan_slope(a):
+        # doubles its input, but its backward returns NaN
+        out = Tensor(2.0 * a.data)
+        T._push(out, (a,), lambda g: (g * np.nan,))
+        return out
+
+    weight = Parameter(np.array([1.0, 2.0]))
+    with pytest.raises(NumericError, match="non-finite gradient for weight at the audited point"):
+        grad_check_suite([("weight", weight)], lambda: T.sum_over(nan_slope(weight)))
+
+
+def test_gradcheck_fails_a_group_whose_finite_difference_is_not_finite():
+    # the probe at w - h = -7e-6 takes the log of a negative number
+    weight = Parameter(np.array([3e-6]))
+    with np.errstate(invalid="ignore"):
+        reports = grad_check_suite([("weight", weight)], lambda: T.sum_over(T.log(weight)),
+                                   samples_per_group=1)
+    assert reports[0].checked == 1
+    assert reports[0].max_rel_error == np.inf
+    assert reports[0].worst_parameter == "weight"
     assert [r.group for r in failing_groups(reports, 1e-4)] == ["conv_kernels"]
 
 
