@@ -9,8 +9,10 @@ timestamps, so reruns with identical inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -277,6 +279,9 @@ def _cmd_gradcheck(args) -> int:
         )
     if args.report is not None:
         groups = {r.group: {k: v for k, v in asdict(r).items() if k != "group"} for r in reports}
+        for group in groups.values():  # standard JSON has no inf: a failed difference is null
+            if not math.isfinite(group["max_rel_error"]):
+                group["max_rel_error"] = None
         _write_json({"tolerance": GRADCHECK_TOLERANCE, "groups": groups}, args.report)
     failed = failing_groups(reports, GRADCHECK_TOLERANCE)
     if failed:
@@ -304,33 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--cube", type=Path, required=True)
     synth.add_argument("--mask", type=Path, required=True)
     synth.add_argument("--preview", type=Path, help="optional pseudo-color PPM")
-    synth.set_defaults(handler=_cmd_synth)
 
     pseudo = commands.add_parser("pseudocolor", help="render a cube to a pseudo-color PPM")
     pseudo.add_argument("--cube", type=Path, required=True)
     pseudo.add_argument("--out", type=Path, required=True)
-    pseudo.set_defaults(handler=_cmd_pseudocolor)
 
     cal = commands.add_parser("calibrate", help="dark/white reflectance calibration")
     cal.add_argument("--raw", type=Path, required=True)
     cal.add_argument("--dark", type=Path, required=True)
     cal.add_argument("--white", type=Path, required=True)
     cal.add_argument("--out", type=Path, required=True)
-    cal.set_defaults(handler=_cmd_calibrate)
 
     base = commands.add_parser("baseline", help="classical spectral saliency map")
     base.add_argument("--method", choices=sorted(BASELINES), required=True)
     base.add_argument("--cube", type=Path, required=True)
     base.add_argument("--out", type=Path, required=True, help="8-bit PGM saliency map")
     base.add_argument("--float-out", type=Path, help="raw float sidecar for exact evaluation")
-    base.set_defaults(handler=_cmd_baseline)
 
     infer = commands.add_parser("infer", help="run a trained model on a cube")
     infer.add_argument("--cube", type=Path, required=True)
     infer.add_argument("--checkpoint", type=Path, required=True)
     infer.add_argument("--out", type=Path, required=True)
     infer.add_argument("--float-out", type=Path)
-    infer.set_defaults(handler=_cmd_infer)
 
     train = commands.add_parser("train", help="train on a manifest's split")
     train.add_argument("--manifest", type=Path, required=True)
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--steps", type=int, default=TrainConfig.steps, help="optimizer updates")
     train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
                        help="Adam step size, positive and finite")
-    train.set_defaults(handler=_cmd_train)
 
     evaluate = commands.add_parser("eval", help="score predictions against a manifest")
     evaluate.add_argument("--manifest", type=Path, required=True)
@@ -351,33 +350,35 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--attributes", action="store_true", help="add per-attribute slices")
     evaluate.add_argument("--out", type=Path, required=True)
     evaluate.add_argument("--csv", type=Path, help="optional CSV table of the slices")
-    evaluate.set_defaults(handler=_cmd_eval)
 
     stats = commands.add_parser("stats", help="dataset statistics tables and heatmap")
     stats.add_argument("--manifest", type=Path, required=True)
     stats.add_argument("--out-dir", type=Path, required=True)
     stats.add_argument("--grid", type=int, default=4)
-    stats.set_defaults(handler=_cmd_stats)
 
     grad = commands.add_parser("gradcheck", help="finite-difference audit of the tiny model")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--samples", type=int, default=20, help="scalars sampled per group")
     grad.add_argument("--report", type=Path, help="optional JSON report path")
-    grad.set_defaults(handler=_cmd_gradcheck)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
         return 0 if exc.code in (0, None) else 1
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

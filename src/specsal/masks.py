@@ -23,14 +23,14 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.ndim != 2 or mask.dtype != np.uint8:
         raise MaskFormatError(f"mask must be (H,W) uint8, got {mask.shape} {mask.dtype}")
-    if not np.isin(mask, (0, 1)).all():
+    if not ((mask == 0) | (mask == 1)).all():
         raise MaskFormatError("mask values must be 0 or 1")
     return mask
 
 
 def read_mask(path) -> np.ndarray:
     raw = read_pgm(path)
-    if not np.isin(raw, (0, 255)).all():
+    if not ((raw == 0) | (raw == 255)).all():
         bad = sorted(set(np.unique(raw)) - {0, 255})
         raise MaskFormatError(f"{path}: mask pixels must be 0 or 255, found {bad[:5]}")
     return (raw == 255).astype(np.uint8)

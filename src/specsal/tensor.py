@@ -164,7 +164,15 @@ def _op_name(back) -> str:
     return back.__qualname__.partition(".")[0]
 
 
-class _FiniteWatch(Tape):
+class _Watch(Tape):
+    """A tape that sees every op but is never replayed: it routes no gradient to
+    any input, so ops under it keep nothing for a backward."""
+
+    def _node(self, t):
+        return None
+
+
+class _FiniteWatch(_Watch):
     """Keeps no records; notes the first op output holding a NaN or infinity.
     Constant-only ops count too."""
 
@@ -176,7 +184,7 @@ class _FiniteWatch(Tape):
         self.ops += 1
 
 
-class _BranchWatch(Tape):
+class _BranchWatch(_Watch):
     """Its records are, per kinked op, the mask where out == input: a >= 0 for
     relu and absolute, inside the bounds for clip, the argmax for max pooling."""
 
@@ -216,7 +224,8 @@ def _grad_shapes(a, b):
     tape = _state.tape
     if tape is None:
         return None, None
-    return tuple(t.shape if tape._node(t) is not None else None for t in (a, b))
+    node = tape._node
+    return (a.shape if node(a) is not None else None, b.shape if node(b) is not None else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from specsal.model import SaliencyModel, demo_model_config
 from specsal.nn import Module
 from specsal.scenes import scene_spec_to_dict, synth_scene, training_demo_scene_spec
 from specsal.tensor import Parameter
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +63,46 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_missing_required_flag_exits_one(capsys):
     assert main(["baseline", "--method", "sad"]) == 1
+
+
+def test_one_process_parses_as_fresh_processes_do(tmp_path, monkeypatch, capsys):
+    """A usage error, --help and two subcommands, run by one process in turn,
+    print, write and exit exactly as each does in a process of its own."""
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the same width in both
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    calls = [
+        ["baseline", "--method", "sad"],
+        ["--help"],
+        ["synth", "--preset", "color-similar", "--cube", "scene.hsv2", "--mask", "mask.pgm"],
+        ["baseline", "--method", "sg", "--cube", "scene.hsv2", "--out", "sg.pgm"],
+    ]
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir()
+    shared.mkdir()
+    expected = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "specsal.cli", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        expected.append((done.returncode, done.stdout, done.stderr))
+    monkeypatch.chdir(shared)
+    got = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in got] == [1, 0, 0, 0]
+    assert got == expected
+    for name in ("scene.hsv2", "mask.pgm", "sg.pgm"):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_main_runs_the_handler_named_at_call_time(monkeypatch, capsys):
+    assert main(["--help"]) == 0  # the parser exists before the handler is replaced
+    seen = []
+    monkeypatch.setattr("specsal.cli._cmd_pseudocolor", lambda args: seen.append(args.out) or 0)
+    assert main(["pseudocolor", "--cube", "in.hsv2", "--out", "out.ppm"]) == 0
+    assert seen == [Path("out.ppm")]
 
 
 def test_synth_is_deterministic(tmp_path, capsys):
@@ -410,7 +456,12 @@ def test_gradcheck_exits_three_on_a_non_finite_finite_difference(monkeypatch, tm
         code = main(["gradcheck", "--samples", "1", "--report", str(report_path)])
     assert code == 3
     assert "max rel error inf (weight @ (0,))" in capsys.readouterr().out
-    assert json.loads(report_path.read_text())["groups"]["conv_kernels"]["max_rel_error"] == float("inf")
+
+    def reject(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    assert report["groups"]["conv_kernels"]["max_rel_error"] is None
 
 
 def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):

@@ -181,11 +181,68 @@ def test_auc_extremes_and_ties():
         roc_auc(np.ones((2, 2)) * 0.5, np.ones((2, 2)))
 
 
+def loop_avg_f1(pred, gt):
+    """avg-F1 from counts taken by comparing against each threshold in turn; the
+    F1 arithmetic and the final mean are the kernel's, so a match is bit-exact."""
+    pred, gt = pred.ravel(), gt.ravel()
+    positives = float(gt.sum())
+    scores = []
+    for i in range(1, 256):
+        chosen = pred >= i / 256.0
+        tp = float(gt[chosen].sum())
+        predicted = int(chosen.sum())
+        precision = tp / predicted if predicted else 1.0
+        recall = tp / positives
+        denominator = precision + recall
+        scores.append(2.0 * precision * recall / denominator if denominator > 0 else 0.0)
+    return float(np.mean(scores))
+
+
+def auc_from_midranks(ranks, gt):
+    positives = int(gt.sum())
+    negatives = gt.size - positives
+    rank_sum = float(ranks[gt.ravel() == 1.0].sum())
+    return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
+
+
+def test_avg_f1_matches_the_threshold_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    grid = np.arange(257) / 256.0
+    edges = np.concatenate([grid, np.nextafter(grid, 2.0), np.nextafter(grid, -1.0), [-0.0]])
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    maps = [
+        rng.choice(edges, size=(32, 32)),  # on, just above and just below every threshold
+        edges[: edges.size // 16 * 16].reshape(-1, 16),
+        np.round(rng.random((64, 64)) * 255.0) / 255.0,  # an 8-bit PGM map read back
+        rng.random((24, 40)),
+        rng.choice(np.array([0.0, -0.0, 1.0]), size=(16, 16)),
+    ]
+    maps += [np.full((8, 8), value) for value in (0.0, -0.0, 1.0, 0.5, 1.0 / 256.0,
+                                                  np.nextafter(0.5, 0.0), 0.3)]
+    for pred in maps:
+        for _ in range(4):
+            gt = (rng.random(pred.shape) < rng.uniform(0.05, 0.95)).astype(float)
+            gt.flat[0] = 1.0  # at least one positive
+            assert average_f1(pred, gt).hex() == loop_avg_f1(pred, gt).hex()
+
+
+def test_auc_matches_loop_midranks_on_tied_maps_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for index in range(60):
+        levels = (1, 2, 4, 255)[index % 4]
+        pred = np.round(rng.random((int(rng.integers(2, 48)), 32)) * levels) / levels
+        gt = (rng.random(pred.shape) < rng.uniform(0.05, 0.95)).astype(float)
+        gt.flat[:2] = (0.0, 1.0)  # both classes
+        expected = auc_from_midranks(loop_midranks(pred.ravel()), gt)
+        assert roc_auc(pred, gt).hex() == expected.hex()
+
+
 def test_midranks_match_the_tie_group_loop_bit_for_bit():
+    # roc_auc ranks through its own tie groups; these cases pin it to the loop's
+    # midranks, through the AUC they give for several two-class ground truths
     rng = np.random.default_rng(11)
     sad_like = np.round(rng.random((64, 64)) * 255.0) / 255.0
     cases = [
-        np.array([0.5]),
         np.array([0.3, 0.3, 0.3, 0.3]),
         np.array([0.0, -0.0, 1.0, 0.0]),
         rng.random(1000),  # no ties
@@ -193,8 +250,14 @@ def test_midranks_match_the_tie_group_loop_bit_for_bit():
         sad_like.ravel(),
     ]
     for values in cases:
-        expected = loop_midranks(values)
-        assert specsal.metrics._midranks(values).tobytes() == expected.tobytes()
+        expected_ranks = loop_midranks(values)
+        for positives in (1, values.size // 2, values.size - 1):
+            gt = np.zeros(values.size)
+            gt[rng.permutation(values.size)[:positives]] = 1.0
+            expected = auc_from_midranks(expected_ranks, gt)
+            assert roc_auc(values, gt).hex() == expected.hex()
+    with pytest.raises(MetricInputError, match="both classes"):
+        roc_auc(np.array([0.5]), np.array([1.0]))  # one pixel holds one class only
 
 
 def test_auc_invariant_under_monotone_transform():
