@@ -27,6 +27,7 @@ from .exceptions import (
     ConfigError,
     DataError,
     ManifestError,
+    MetricInputError,
     NumericError,
     ShapeError,
 )
@@ -206,8 +207,10 @@ def _cmd_eval(args) -> int:
     for entry in _split_entries(manifest, args.manifest, args.split):
         mask = read_mask(resolve_path(args.manifest, entry.mask))
         prediction = _prediction_for(entry, args.pred_dir)
-        report = evaluate_pair(prediction, mask.astype(np.float64))
-        scored.append((entry, report))
+        try:
+            scored.append((entry, evaluate_pair(prediction, mask.astype(np.float64))))
+        except (MetricInputError, ShapeError) as err:
+            raise type(err)(f"entry {entry.id}: {err}") from err
 
     sliced = attribute_eval([(entry.attributes, report) for entry, report in scored])
     doc = {

@@ -287,12 +287,21 @@ def test_eval_reads_no_cubes(tmp_path, workspace, capsys):
     assert reports["bare"] == reports["cubes"]
 
 
-@pytest.mark.parametrize("defect", ["shape", "trailing-bytes"])
-def test_eval_bad_prediction_exits_two(defect, tmp_path, workspace, capsys):
+@pytest.mark.parametrize("defect, message", [
+    pytest.param("shape", "entry scene1: prediction (8, 8) vs ground truth (32, 32)", id="shape"),
+    pytest.param("nan", "entry scene1: prediction contains non-finite values", id="nan"),
+    pytest.param("trailing-bytes", "{preds}/scene1.f32: float map header claims 32x32 (4096 bytes), "
+                 "payload has 4128", id="trailing-bytes"),
+])
+def test_eval_bad_prediction_exits_two(defect, message, tmp_path, workspace, capsys):
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
     if defect == "shape":  # evaluate_pair refuses a map that does not cover the mask
         write_mask(np.ones((8, 8), dtype=np.uint8), pred_dir / "scene1.pgm")
+    elif defect == "nan":  # and a map holding a NaN
+        pred = np.full((32, 32), 0.5)
+        pred[3, 4] = np.nan
+        write_float_map(pred, pred_dir / "scene1.f32")
     else:  # a .f32 holding more floats than its header declares
         write_float_map(np.zeros((32, 32)), pred_dir / "scene1.f32")
         with open(pred_dir / "scene1.f32", "ab") as handle:
@@ -300,9 +309,10 @@ def test_eval_bad_prediction_exits_two(defect, tmp_path, workspace, capsys):
     assert main([
         "eval", "--manifest", str(workspace / "manifest.json"),
         "--pred-dir", str(pred_dir), "--out", str(tmp_path / "r.json"),
+        "--csv", str(tmp_path / "r.csv"),
     ]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err == f"error: {message.format(preds=pred_dir)}\n"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_eval_mask_with_trailing_bytes_exits_two(tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specsal.metrics
 from specsal.exceptions import MetricInputError, ShapeError
@@ -258,6 +260,42 @@ def test_midranks_match_the_tie_group_loop_bit_for_bit():
             assert roc_auc(values, gt).hex() == expected.hex()
     with pytest.raises(MetricInputError, match="both classes"):
         roc_auc(np.array([0.5]), np.array([1.0]))  # one pixel holds one class only
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 1.0), st.data())
+def test_auc_tells_scores_one_float64_step_apart(base, data):
+    # 2-5 distinct scores: 0.0 (also as -0.0), 1.0, and base with its two float64
+    # neighbours, which a float32 or rounded comparison would merge into one tie
+    pool = [0.0, -0.0, 1.0, base, np.nextafter(base, 0.0), np.nextafter(base, 1.0)]
+    size = data.draw(st.integers(2, 40))
+    pred = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    positives = data.draw(st.sampled_from([1, size - 1, data.draw(st.integers(1, size - 1))]))
+    gt = np.zeros(size)
+    gt[data.draw(st.permutations(range(size)))[:positives]] = 1.0
+    auc = roc_auc(pred, gt).hex()
+    assert auc == auc_from_midranks(loop_midranks(pred), gt).hex()
+    assert auc == brute_auc(pred, gt).hex()
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, np.nan], "prediction contains non-finite values"),
+    ([0.5, np.inf], "prediction contains non-finite values"),
+    ([0.5, -np.inf], "prediction contains non-finite values"),
+    ([np.nan, -1.0], "prediction contains non-finite values"),
+    ([0.0, np.nextafter(1.0, 2.0)],
+     "prediction values outside [0,1]: min 0.0, max 1.0000000000000002"),
+    ([np.nextafter(0.0, -1.0), 1.0], "prediction values outside [0,1]: min -5e-324, max 1.0"),
+])
+def test_validated_keeps_its_error_texts(values, message):
+    with pytest.raises(MetricInputError) as caught:
+        specsal.metrics._validated(np.array(values), np.array([0.0, 1.0]))
+    assert str(caught.value) == message
+
+
+def test_validated_accepts_negative_zero():
+    pred, gt = specsal.metrics._validated(np.array([-0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0]))
+    assert np.signbit(pred[0]) and gt.tolist() == [0.0, 1.0, 1.0]
 
 
 def test_auc_invariant_under_monotone_transform():
