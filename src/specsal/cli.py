@@ -191,9 +191,8 @@ def _cmd_train(args) -> int:
 
 
 def _prediction_for(entry, pred_dir):
-    stem = Path(pred_dir) / entry.id
-    float_path = stem.with_suffix(".f32")
-    pgm_path = stem.with_suffix(".pgm")
+    pred_dir = Path(pred_dir)
+    float_path, pgm_path = pred_dir / f"{entry.id}.f32", pred_dir / f"{entry.id}.pgm"
     if float_path.exists():
         return read_float_map(float_path)
     if pgm_path.exists():

@@ -1,10 +1,15 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor that
-also owns a gradient array. Differentiable ops are module-level functions; while
-a Tape is active it records each op with an input that needs a gradient, as
-gradient nodes and a closure that keeps only the shapes and arrays backward
-reads. Tape.backward pops each record once, in reverse execution order.
+also owns a gradient array. Differentiable ops are module-level functions, and
+each passes its own name to _push. While a Tape is active it records each op
+with an input that needs a gradient, as gradient nodes and a closure that keeps
+only the shapes and arrays backward reads. Tape.backward pops each record once,
+in reverse execution order.
+
+The observer (_observe) is the one way to look at a forward pass: with no tape
+active, it is handed the name, output and inputs of every op.
+first_non_finite and branch_pattern are built on it.
 
 Layout conventions: feature maps are (channels, height, width); token matrices
 are (tokens, channels); convolution is zero-padded cross-correlation, lowered
@@ -21,7 +26,9 @@ import numpy as np
 from .exceptions import ShapeError
 
 class _State(threading.local):
-    tape = None  # the thread's active Tape; a class default, so reading it never raises
+    # Class defaults, so reading them never raises: the thread's active Tape and
+    # its observer, see(op name, output, inputs); at most one of them is set.
+    tape = see = None
 
 
 _state = _State()
@@ -103,8 +110,7 @@ class Tape:
         self._replayed = False
 
     def __enter__(self):
-        if _state.tape is not None:
-            raise RuntimeError("a tape is already active on this thread; tapes do not nest")
+        _claim_thread()
         _state.tape = self
         return self
 
@@ -160,63 +166,61 @@ class Tape:
 KINKED_OPS = frozenset({"relu", "absolute", "clip", "pool_global"})
 
 
-def _op_name(back) -> str:
-    return back.__qualname__.partition(".")[0]
+def _claim_thread():
+    if _state.tape is not None or _state.see is not None:
+        raise RuntimeError("a tape is already active on this thread; tapes do not nest")
 
 
-class _Watch(Tape):
-    """A tape that sees every op but is never replayed: it routes no gradient to
-    any input, so ops under it keep nothing for a backward."""
-
-    def _node(self, t):
-        return None
-
-
-class _FiniteWatch(_Watch):
-    """Keeps no records; notes the first op output holding a NaN or infinity.
-    Constant-only ops count too."""
-
-    ops, found = 0, None
-
-    def record(self, out, inputs, back):
-        if self.found is None and not np.isfinite(out.data).all():
-            self.found = (self.ops, _op_name(back), out)
-        self.ops += 1
-
-
-class _BranchWatch(_Watch):
-    """Its records are, per kinked op, the mask where out == input: a >= 0 for
-    relu and absolute, inside the bounds for clip, the argmax for max pooling."""
-
-    def record(self, out, inputs, back):
-        if _op_name(back) in KINKED_OPS:
-            self._records.append((out.data == inputs[0].data).tobytes())
+def _observe(see, build):
+    """build(), run with no tape active and see(op name, output, inputs) called
+    for every op, constant-only ops too; ops keep nothing for a backward."""
+    _claim_thread()
+    _state.see = see
+    try:
+        return build()
+    finally:
+        _state.see = None
 
 
 def first_non_finite(build):
     """(op index, op name, output) of the first non-finite op output, or None;
     records keep no outputs, so this reruns the forward pass build()."""
-    with _FiniteWatch() as watch:
-        build()
-    return watch.found
+    ops, found = 0, None
+
+    def see(name, out, inputs):
+        nonlocal ops, found
+        if found is None and not np.isfinite(out.data).all():
+            found = (ops, name, out)
+        ops += 1
+
+    _observe(see, build)
+    return found
 
 
 def branch_pattern(build):
     """(build(), pattern): equal patterns mean two runs of build() took the
-    same smooth piece of every kinked op (one mask per op, in run order)."""
-    with _BranchWatch() as watch:
-        result = build()
-    return result, watch._records
+    same smooth piece of every kinked op. The pattern holds, per kinked op in
+    run order, the mask where out == input: a >= 0 for relu and absolute,
+    inside the bounds for clip, the argmax for max pooling."""
+    pattern = []
+
+    def see(name, out, inputs):
+        if name in KINKED_OPS:
+            pattern.append((out.data == inputs[0].data).tobytes())
+
+    return _observe(see, build), pattern
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _push(out: Tensor, inputs, back) -> None:
+def _push(name: str, out: Tensor, inputs, back) -> None:
     tape = _state.tape
     if tape is not None:
         tape.record(out, inputs, back)
+    elif _state.see is not None:
+        _state.see(name, out, inputs)
 
 
 def _grad_shapes(a, b):
@@ -248,8 +252,8 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
     sa, sb = _grad_shapes(a, b)
-    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
-                                  None if sb is None else _unbroadcast(g, sb)))
+    _push("add", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
+                                         None if sb is None else _unbroadcast(g, sb)))
     return out
 
 
@@ -257,8 +261,8 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
     sa, sb = _grad_shapes(a, b)
-    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
-                                  None if sb is None else _unbroadcast(-g, sb)))
+    _push("sub", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
+                                         None if sb is None else _unbroadcast(-g, sb)))
     return out
 
 
@@ -267,8 +271,8 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
     sa, sb = _grad_shapes(a, b)
     ad, bd = None if sb is None else a.data, None if sa is None else b.data  # each reads the other
-    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
-                                  None if sb is None else _unbroadcast(g * ad, sb)))
+    _push("mul", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
+                                         None if sb is None else _unbroadcast(g * ad, sb)))
     return out
 
 
@@ -277,15 +281,16 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data)
     sa, sb = _grad_shapes(a, b)
     ad, bd = None if sb is None else a.data, b.data
-    _push(out, (a, b), lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
-                                  None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
+    _push("div", out, (a, b),
+          lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
+                     None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
     return out
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(-a.data)
-    _push(out, (a,), lambda g: (-g,))
+    _push("neg", out, (a,), lambda g: (-g,))
     return out
 
 
@@ -295,7 +300,7 @@ def power(a, exponent: float) -> Tensor:
     p = float(exponent)
     ad = a.data
     out = Tensor(ad**p)
-    _push(out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
+    _push("power", out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
     return out
 
 
@@ -303,7 +308,7 @@ def absolute(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = Tensor(np.abs(ad))
-    _push(out, (a,), lambda g: (g * np.sign(ad),))
+    _push("absolute", out, (a,), lambda g: (g * np.sign(ad),))
     return out
 
 
@@ -311,7 +316,7 @@ def log(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = Tensor(np.log(ad))
-    _push(out, (a,), lambda g: (g / ad,))
+    _push("log", out, (a,), lambda g: (g / ad,))
     return out
 
 
@@ -319,7 +324,7 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     y = np.exp(a.data)
     out = Tensor(y)
-    _push(out, (a,), lambda g: (g * y,))
+    _push("exp", out, (a,), lambda g: (g * y,))
     return out
 
 
@@ -328,7 +333,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.clip(a.data, lo, hi))
     inside = (a.data > lo) & (a.data < hi)
-    _push(out, (a,), lambda g: (g * inside,))
+    _push("clip", out, (a,), lambda g: (g * inside,))
     return out
 
 
@@ -387,7 +392,7 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     y = np.maximum(a.data, 0.0)
     out = Tensor(y)
-    _push(out, (a,), lambda g: (g * (y > 0.0),))  # y > 0 exactly where a > 0
+    _push("relu", out, (a,), lambda g: (g * (y > 0.0),))  # y > 0 exactly where a > 0
     return out
 
 
@@ -398,7 +403,7 @@ def sigmoid(a) -> Tensor:
         e = np.exp(-np.abs(a.data))
     y = np.where(a.data >= 0.0, 1.0, e) / (1.0 + e)
     out = Tensor(y)
-    _push(out, (a,), lambda g: (g * y * (1.0 - y),))
+    _push("sigmoid", out, (a,), lambda g: (g * y * (1.0 - y),))
     return out
 
 
@@ -413,7 +418,7 @@ def gelu(a) -> Tensor:
         pdf = np.exp(-0.5 * ad * ad) / math.sqrt(2.0 * math.pi)
         return (g * (cdf + ad * pdf),)
 
-    _push(out, (a,), back)
+    _push("gelu", out, (a,), back)
     return out
 
 
@@ -433,7 +438,7 @@ def softmax(a, axis: int) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    _push(out, (a,), back)
+    _push("softmax", out, (a,), back)
     return out
 
 
@@ -448,7 +453,7 @@ def reshape(a, shape) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(shape))
     original = a.shape
-    _push(out, (a,), lambda g: (g.reshape(original),))
+    _push("reshape", out, (a,), lambda g: (g.reshape(original),))
     return out
 
 
@@ -457,7 +462,7 @@ def transpose2d(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose2d needs a 2-d tensor, got shape {a.shape}")
     out = Tensor(a.data.T)
-    _push(out, (a,), lambda g: (g.T,))
+    _push("transpose2d", out, (a,), lambda g: (g.T,))
     return out
 
 
@@ -480,7 +485,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         full[index] = g
         return (full,)
 
-    _push(out, (a,), back)
+    _push("narrow", out, (a,), back)
     return out
 
 
@@ -490,7 +495,7 @@ def concat(parts, axis: int) -> Tensor:
         raise ShapeError("concat needs at least one tensor")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
-    _push(out, tuple(parts), lambda g: tuple(np.split(g, ends, axis=axis)))
+    _push("concat", out, tuple(parts), lambda g: tuple(np.split(g, ends, axis=axis)))
     return out
 
 
@@ -513,7 +518,7 @@ def sum_over(a, axes=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape).copy(),)
 
-    _push(out, (a,), back)
+    _push("sum_over", out, (a,), back)
     return out
 
 
@@ -529,7 +534,7 @@ def mean_over(a, axes=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape) / count,)
 
-    _push(out, (a,), back)
+    _push("mean_over", out, (a,), back)
     return out
 
 
@@ -546,8 +551,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
     sa, sb = _grad_shapes(a, b)
     ad, bd = None if sb is None else a.data, None if sa is None else b.data
-    _push(out, (a, b), lambda g: (None if sa is None else g @ bd.T,
-                                  None if sb is None else ad.T @ g))
+    _push("matmul", out, (a, b), lambda g: (None if sa is None else g @ bd.T,
+                                            None if sb is None else ad.T @ g))
     return out
 
 
@@ -617,7 +622,7 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
             gx = (kt @ im2col(g, True)).reshape(sx)
         return gx, gk
 
-    _push(out, (x, kernel), back)
+    _push("conv2d", out, (x, kernel), back)
     return out
 
 
@@ -647,7 +652,7 @@ def channel_conv1d(x, kernel) -> Tensor:
         gx = None if sx is None else np.convolve(gv, kd, mode="full")[pad : pad + c].reshape(sx)
         return gx, gk
 
-    _push(out, (x, kernel), back)
+    _push("channel_conv1d", out, (x, kernel), back)
     return out
 
 
@@ -667,7 +672,7 @@ def pool_global(x, mode: str) -> Tensor:
             counts = mask.sum(axis=(1, 2), keepdims=True)
             return (mask * (g / counts),)
 
-        _push(out, (x,), back)
+        _push("pool_global", out, (x,), back)
         return out
     raise ValueError(f"pool_global mode must be 'avg' or 'max', got {mode!r}")
 
@@ -686,57 +691,50 @@ def _unshuffle_raw(d: np.ndarray, r: int) -> np.ndarray:
     )
 
 
+def _map_and_factor(op: str, x, factor):
+    """(x as a Tensor, int(factor)) for an op that rearranges a (C,H,W) map."""
+    x, f = _as_tensor(x), int(factor)
+    if x.ndim != 3 or f < 1:
+        raise ShapeError(f"{op} needs (C,H,W) and factor >= 1, got {x.shape}, {factor}")
+    return x, f
+
+
 def pixel_shuffle(x, factor: int) -> Tensor:
     """(C*r^2, H, W) -> (C, r*H, r*W); exact inverse of pixel_unshuffle."""
-    x = _as_tensor(x)
-    r = int(factor)
-    if x.ndim != 3 or r < 1:
-        raise ShapeError(f"pixel_shuffle needs (C,H,W) and factor >= 1, got {x.shape}, {factor}")
+    x, r = _map_and_factor("pixel_shuffle", x, factor)
     if x.shape[0] % (r * r) != 0:
         raise ShapeError(f"pixel_shuffle factor {r} does not divide {x.shape[0]} channels")
     out = Tensor(_shuffle_raw(x.data, r))
-    _push(out, (x,), lambda g: (_unshuffle_raw(g, r),))
+    _push("pixel_shuffle", out, (x,), lambda g: (_unshuffle_raw(g, r),))
     return out
 
 
 def pixel_unshuffle(x, factor: int) -> Tensor:
     """(C, r*H, r*W) -> (C*r^2, H, W); exact inverse of pixel_shuffle."""
-    x = _as_tensor(x)
-    r = int(factor)
-    if x.ndim != 3 or r < 1:
-        raise ShapeError(f"pixel_unshuffle needs (C,H,W) and factor >= 1, got {x.shape}, {factor}")
+    x, r = _map_and_factor("pixel_unshuffle", x, factor)
     if x.shape[1] % r != 0 or x.shape[2] % r != 0:
         raise ShapeError(f"pixel_unshuffle factor {r} does not divide spatial dims {x.shape[1:]}")
     out = Tensor(_unshuffle_raw(x.data, r))
-    _push(out, (x,), lambda g: (_shuffle_raw(g, r),))
+    _push("pixel_unshuffle", out, (x,), lambda g: (_shuffle_raw(g, r),))
     return out
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
-    x = _as_tensor(x)
-    f = int(factor)
-    if x.ndim != 3 or f < 1:
-        raise ShapeError(f"upsample_nearest needs (C,H,W) and factor >= 1, got {x.shape}, {factor}")
+    x, f = _map_and_factor("upsample_nearest", x, factor)
     out = Tensor(np.repeat(np.repeat(x.data, f, axis=1), f, axis=2))
     c, h, w = x.shape
-    _push(out, (x,), lambda g: (g.reshape(c, h, f, w, f).sum(axis=(2, 4)),))
+    _push("upsample_nearest", out, (x,), lambda g: (g.reshape(c, h, f, w, f).sum(axis=(2, 4)),))
     return out
 
 
 def downsample_avg(x, factor: int) -> Tensor:
-    x = _as_tensor(x)
-    f = int(factor)
-    if x.ndim != 3 or f < 1:
-        raise ShapeError(f"downsample_avg needs (C,H,W) and factor >= 1, got {x.shape}, {factor}")
+    x, f = _map_and_factor("downsample_avg", x, factor)
     c, h, w = x.shape
     if h % f != 0 or w % f != 0:
         raise ShapeError(f"downsample_avg factor {f} does not divide spatial dims {(h, w)}")
     out = Tensor(x.data.reshape(c, h // f, f, w // f, f).mean(axis=(2, 4)))
-    _push(
-        out,
-        (x,),
-        lambda g: (np.repeat(np.repeat(g, f, axis=1), f, axis=2) / (f * f),),
-    )
+    _push("downsample_avg", out, (x,),
+          lambda g: (np.repeat(np.repeat(g, f, axis=1), f, axis=2) / (f * f),))
     return out
 
 

@@ -247,8 +247,8 @@ def grad_check_suite(named_parameters, loss_builder, samples_per_group: int = 20
     """Tape gradients vs. central finite differences, sampled per group.
 
     ``loss_builder`` must rebuild the scalar loss from the parameters' current
-    values; it runs once through backprop, with its checks, then under a watch
-    tape at x and at every probe. Relative errors floor the scale at 1e-5, the
+    values; it runs once through backprop, with its checks, then under the
+    observer of branch_pattern at x and at every probe. Relative errors floor the scale at 1e-5, the
     noise level of a finite difference; one that is not finite scores inf. The loss is piecewise smooth, its kinks located by
     the branch pattern of tensor.KINKED_OPS (Griewank 2013, "On stable
     piecewise linearization and generalized algorithmic differentiation"): a

@@ -17,6 +17,7 @@ from specsal.configio import model_config_from_dict
 from specsal.cube import HsiCube, calibrate, pseudo_color, read_cube, write_cube
 from specsal.imageio import read_float_map, read_pgm, write_float_map
 from specsal.masks import read_mask, write_mask
+from specsal.metrics import evaluate_pair
 from specsal.model import SaliencyModel, demo_model_config
 from specsal.nn import Module
 from specsal.scenes import scene_spec_to_dict, synth_scene, training_demo_scene_spec
@@ -262,6 +263,36 @@ def test_eval_missing_prediction_exits_two(tmp_path, workspace, capsys):
         "eval", "--manifest", str(workspace / "manifest.json"),
         "--pred-dir", str(empty), "--out", str(tmp_path / "r.json"),
     ]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_reads_each_dotted_id_from_its_own_file(tmp_path, workspace, capsys):
+    # a stray scene.f32 is what a suffix swap on "scene.1" or "scene.2" would find
+    for name in ("scene0.pgm", "scene1.pgm"):
+        (tmp_path / name).write_bytes((workspace / name).read_bytes())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"id": f"scene.{i + 1}", "cube": f"scene{i}.hsv2", "mask": f"scene{i}.pgm",
+         "split": "test"} for i in (0, 1)]}))
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    rng = np.random.default_rng(5)
+    for stem in ("scene.1", "scene.2", "scene"):
+        write_float_map(rng.uniform(size=(32, 32)), pred_dir / f"{stem}.f32")
+    argv = ["eval", "--manifest", str(manifest), "--pred-dir", str(pred_dir),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    per_image = json.loads((tmp_path / "r.json").read_text())["per_image"]
+    for i in (0, 1):
+        expected = evaluate_pair(read_float_map(pred_dir / f"scene.{i + 1}.f32"),
+                                 read_mask(tmp_path / f"scene{i}.pgm").astype(np.float64))
+        assert per_image[f"scene.{i + 1}"] == expected.to_dict()
+
+    (pred_dir / "scene.1.f32").unlink()
+    (tmp_path / "r.json").unlink()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: no prediction for entry scene.1: tried "
+                                       f"{pred_dir}/scene.1.f32 and {pred_dir}/scene.1.pgm\n")
     assert not (tmp_path / "r.json").exists()
 
 

@@ -775,3 +775,91 @@ def test_kinked_op_switches_branch_pattern_across_its_kink(name):
     _, below = T.branch_pattern(lambda: KINK_CROSSINGS[name](op, -1e-3))
     assert len(above) == len(below) == 1
     assert above != below
+
+
+# ---------------------------------------------------------------------------
+# op names
+
+
+def _param(*shape):
+    return Parameter(np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape))
+
+
+# One call of each op that pushes a record, on Parameters so that a tape keeps it.
+OP_CALLS = {
+    "add": lambda op: op(_param(4, 2, 2), _param(4, 2, 2)),
+    "sub": lambda op: op(_param(4, 2, 2), _param(4, 2, 2)),
+    "mul": lambda op: op(_param(4, 2, 2), _param(4, 2, 2)),
+    "div": lambda op: op(_param(4, 2, 2), _param(4, 2, 2)),
+    "neg": lambda op: op(_param(4, 2, 2)),
+    "power": lambda op: op(_param(4, 2, 2), 2.0),
+    "absolute": lambda op: op(_param(4, 2, 2)),
+    "log": lambda op: op(_param(4, 2, 2)),
+    "exp": lambda op: op(_param(4, 2, 2)),
+    "clip": lambda op: op(_param(4, 2, 2), 0.2, 0.8),
+    "relu": lambda op: op(_param(4, 2, 2)),
+    "sigmoid": lambda op: op(_param(4, 2, 2)),
+    "gelu": lambda op: op(_param(4, 2, 2)),
+    "softmax": lambda op: op(_param(4, 2, 2), 0),
+    "reshape": lambda op: op(_param(4, 2, 2), (16,)),
+    "transpose2d": lambda op: op(_param(2, 3)),
+    "narrow": lambda op: op(_param(4, 2, 2), 0, 1, 2),
+    "concat": lambda op: op([_param(4, 2, 2), _param(1, 2, 2)], 0),
+    "sum_over": lambda op: op(_param(4, 2, 2)),
+    "mean_over": lambda op: op(_param(4, 2, 2)),
+    "matmul": lambda op: op(_param(2, 3), _param(3, 2)),
+    "conv2d": lambda op: op(_param(4, 2, 2), _param(1, 4, 3, 3)),
+    "channel_conv1d": lambda op: op(_param(4, 1, 1), _param(3)),
+    "pool_global": lambda op: op(_param(4, 2, 2), "max"),
+    "pixel_shuffle": lambda op: op(_param(4, 2, 2), 2),
+    "pixel_unshuffle": lambda op: op(_param(4, 2, 2), 2),
+    "upsample_nearest": lambda op: op(_param(4, 2, 2), 2),
+    "downsample_avg": lambda op: op(_param(4, 2, 2), 2),
+}
+
+
+def test_op_table_lists_every_public_op():
+    public = {name for name, fn in vars(T).items()
+              if callable(fn) and getattr(fn, "__module__", None) == T.__name__
+              and not name.startswith("_") and not isinstance(fn, type)}
+    # channel_norm is composed of the ops below; the other two are the observer's users
+    assert public - {"channel_norm", "first_non_finite", "branch_pattern"} == set(OP_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CALLS))
+def test_every_op_names_itself(name):
+    op = getattr(T, name)
+    seen = []
+    out = T._observe(lambda *args: seen.append(args), lambda: OP_CALLS[name](op))
+    assert [(op_name, result) for op_name, result, _ in seen] == [(op.__name__, out)]
+    assert out.node is None  # no tape was active, so the op kept nothing for a backward
+    with Tape() as tape:
+        OP_CALLS[name](op)
+    [(_, _, back)] = tape._records
+    assert back.__qualname__.startswith(op.__name__ + ".")
+
+
+def test_observer_and_tape_exclude_each_other():
+    p = Parameter(np.ones(2))
+    with Tape():
+        with pytest.raises(RuntimeError, match="already active"):
+            T.first_non_finite(lambda: T.mul(p, 2.0))
+
+    def enter_a_tape():
+        with Tape():
+            pass
+
+    with pytest.raises(RuntimeError, match="already active"):
+        T.first_non_finite(enter_a_tape)
+    with Tape() as tape:  # the observer freed the thread although build() raised
+        T.mul(p, 2.0)
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("name", ["pixel_shuffle", "pixel_unshuffle", "upsample_nearest",
+                                  "downsample_avg"])
+@pytest.mark.parametrize("shape, factor", [((4, 2), 2), ((4, 2, 2), 0), ((4, 2, 2), 0.5)])
+def test_rearranging_ops_keep_their_argument_error_texts(name, shape, factor):
+    with pytest.raises(ShapeError) as caught:
+        getattr(T, name)(np.zeros(shape), factor)
+    assert str(caught.value) == f"{name} needs (C,H,W) and factor >= 1, got {shape}, {factor}"

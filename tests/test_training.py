@@ -165,7 +165,7 @@ def test_gradient_finiteness_check_names_parameter(monkeypatch):
     def infinite_slope(a):
         # a constant 0 whose backward claims an infinite slope
         out = Tensor(0.0)
-        T._push(out, (a,), lambda g: (np.full(a.shape, np.inf),))
+        T._push("infinite_slope", out, (a,), lambda g: (np.full(a.shape, np.inf),))
         return out
 
     def planted_losses(output, cube_values, mask):
@@ -350,7 +350,7 @@ def test_gradcheck_shrinks_its_step_and_still_catches_a_wrong_gradient_near_a_ki
     def too_steep(a):
         # doubles its input, but its backward claims a slope 1e-3 too large
         out = Tensor(2.0 * a.data)
-        T._push(out, (a,), lambda g: (g * 2.0 * (1.0 + 1e-3),))
+        T._push("too_steep", out, (a,), lambda g: (g * 2.0 * (1.0 + 1e-3),))
         return out
 
     # relu kinks 5e-7 and 3e-7 away: probes at h = 1e-5 and 1e-6 cross them
@@ -365,7 +365,7 @@ def test_gradcheck_stops_on_a_non_finite_tape_gradient():
     def nan_slope(a):
         # doubles its input, but its backward returns NaN
         out = Tensor(2.0 * a.data)
-        T._push(out, (a,), lambda g: (g * np.nan,))
+        T._push("nan_slope", out, (a,), lambda g: (g * np.nan,))
         return out
 
     weight = Parameter(np.array([1.0, 2.0]))
