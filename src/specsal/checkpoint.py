@@ -3,7 +3,8 @@
 Layout (all little-endian): 4 magic bytes ``SSCK``, u32 record count, then per
 record a u16 name length, the utf-8 name, a u8 rank, u32 dimensions, and the
 values as 32-bit IEEE-754 floats in C order. Values are stored at single
-precision; loading widens back to float64.
+precision; loading widens back to float64 and rejects a non-finite value.
+Saving checks every name, then streams record by record into a temp file.
 """
 
 from __future__ import annotations
@@ -14,63 +15,76 @@ import struct
 import numpy as np
 
 from .exceptions import CheckpointError
-from .imageio import write_bytes_atomic
+from .imageio import write_chunks_atomic
 
 CHECKPOINT_MAGIC = b"SSCK"
 
 
 def save_checkpoint(named_values, path) -> None:
-    chunks = []
-    count = 0
+    records = []
     for name, values in named_values:
         encoded = name.encode("utf-8")
         if not encoded or len(encoded) > 0xFFFF:
             raise CheckpointError(f"bad parameter name {name!r}")
-        values = np.asarray(values)
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", values.ndim))
-        chunks.append(struct.pack(f"<{values.ndim}I", *values.shape))
-        chunks.append(np.ascontiguousarray(values, dtype="<f4").tobytes())
-        count += 1
-    payload = CHECKPOINT_MAGIC + struct.pack("<I", count) + b"".join(chunks)
-    write_bytes_atomic(path, payload)
+        records.append((encoded, np.asarray(values)))
+
+    def chunks():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(records))
+        for encoded, values in records:
+            yield struct.pack(f"<H{len(encoded)}sB{values.ndim}I",
+                              len(encoded), encoded, values.ndim, *values.shape)
+            yield np.ascontiguousarray(values, dtype="<f4")
+
+    write_chunks_atomic(path, chunks())
 
 
 def load_checkpoint(path) -> dict:
     with open(path, "rb") as handle:
         payload = handle.read()
-    offset = 0
+    end = len(payload)
 
-    def claim(n: int) -> int:
-        """Advance past ``n`` bytes and return where they start."""
-        nonlocal offset
-        if offset + n > len(payload):
-            raise CheckpointError(f"{path}: truncated at byte {offset} (wanted {n} more)")
-        offset += n
-        return offset - n
+    def truncated(at: int, wanted: int) -> CheckpointError:
+        return CheckpointError(f"{path}: truncated at byte {at} (wanted {wanted} more)")
 
-    claim(4)
-    if payload[:4] != CHECKPOINT_MAGIC:
+    if payload[:4] != CHECKPOINT_MAGIC[:end]:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    (count,) = struct.unpack_from("<I", payload, claim(4))
-    state = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", payload, claim(2))
-        start = claim(name_len)
+    if end < 8:
+        raise truncated(4 if end >= 4 else 0, 4)
+    (count,) = struct.unpack_from("<I", payload, 4)
+    flat = np.empty((end - 8) // 4)  # room for every value, as each takes 4 of those bytes
+    state, parts, used, offset = {}, [], 0, 8
+    for _ in range(count):  # inline bounds checks: per-field calls cost more than the pass below
+        if offset + 2 > end:
+            raise truncated(offset, 2)
+        (name_len,) = struct.unpack_from("<H", payload, offset)
+        start, offset = offset + 2, offset + 2 + name_len
+        if offset > end:
+            raise truncated(start, name_len)
         try:
             name = payload[start:offset].decode("utf-8")
         except UnicodeDecodeError as err:
             raise CheckpointError(f"{path}: parameter name is not UTF-8 ({err})") from err
         if name in state:
             raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        (rank,) = struct.unpack_from("<B", payload, claim(1))
-        shape = struct.unpack_from(f"<{rank}I", payload, claim(4 * rank))
-        size = math.prod(shape)
-        values = np.frombuffer(payload, "<f4", size, claim(4 * size))
-        state[name] = values.reshape(shape).astype(np.float64)
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes")
+        rank = payload[offset] if offset < end else 0  # a missing rank byte fails the check
+        if offset + 1 + 4 * rank > end:
+            raise truncated(offset, 1 + 4 * rank)
+        shape = struct.unpack_from(f"<{rank}I", payload, offset + 1)
+        size, offset = math.prod(shape), offset + 1 + 4 * rank
+        if offset + 4 * size > end:
+            raise truncated(offset, 4 * size)
+        parts.append(np.frombuffer(payload, "<f4", size, offset))
+        state[name] = np.ndarray(shape, np.float64, flat, 8 * used)  # a view at a byte offset
+        offset, used = offset + 4 * size, used + size
+    if offset != end:
+        raise CheckpointError(f"{path}: {end - offset} trailing bytes")
+    with np.errstate(invalid="ignore"):  # a signaling NaN is reported below, not warned about
+        values = np.concatenate(parts, out=flat[:used]) if parts else flat[:0]  # fills every view
+    # one finiteness pass: squares of widened float32 values cannot overflow a
+    # float64 sum, so it is finite exactly when every value is
+    if not math.isfinite(values @ values):
+        name = next(name for name, array in state.items() if not np.isfinite(array).all())
+        raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
     return state
 
 

@@ -15,13 +15,24 @@ import numpy as np
 from .exceptions import MaskFormatError
 
 
-def write_bytes_atomic(path, payload: bytes) -> None:
-    """Write to a temp file in the target directory (created if missing), then rename into place."""
+def write_chunks_atomic(path, chunks) -> None:
+    """Write byte chunks to a temp file in the target directory (created if missing), then
+    rename it into place; if anything fails, remove the temp file and keep the old target."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_bytes_atomic(path, payload: bytes) -> None:
+    write_chunks_atomic(path, (payload,))
 
 
 def write_text_atomic(path, text: str) -> None:

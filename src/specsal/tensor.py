@@ -64,8 +64,8 @@ class Tensor:
 class Parameter(Tensor):
     """A Tensor that Tape.backward accumulates a gradient into; its own node.
 
-    ``grad`` is a plain array of the same shape, allocated on first use. Its
-    name is its attribute path, which Module.named_parameters walks.
+    ``grad`` is a plain array, allocated on first use and dropped by zero_grad, so no taped
+    forward pass holds it. Its name is its attribute path, which Module.named_parameters walks.
     """
 
     __slots__ = ("_grad",)
@@ -81,7 +81,7 @@ class Parameter(Tensor):
         return self._grad
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad = None
 
 
 class _Node:
@@ -742,7 +742,7 @@ def channel_norm(x, gain, bias) -> Tensor:
     """Standardize each channel over its spatial positions, then apply affine.
 
     Replaces batch normalization at batch size 1. gain/bias have shape (C,).
-    Composed from taped primitives, so the gradient needs no bespoke rule.
+    Taped primitives compute centered * (inv_std * gain) + bias, so the tape keeps one full map.
     """
     xt = _as_tensor(x)
     if xt.ndim != 3:
@@ -754,4 +754,4 @@ def channel_norm(x, gain, bias) -> Tensor:
     inv = power(add(var, 1e-5), -0.5)  # epsilon 1e-5 keeps constant channels finite
     g3 = reshape(gain, (c, 1, 1))
     b3 = reshape(bias, (c, 1, 1))
-    return add(mul(mul(centered, inv), g3), b3)
+    return add(mul(centered, mul(inv, g3)), b3)

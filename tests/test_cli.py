@@ -427,17 +427,23 @@ def test_infer_without_config_or_sidecar_exits_two(tmp_path, workspace, capsys):
     assert not (tmp_path / "p.pgm").exists()
 
 
-def test_infer_nan_checkpoint_exits_three(tmp_path, workspace, capsys):
+def test_infer_nan_checkpoint_exits_two(tmp_path, workspace, capsys):
+    # a bad value is a data error in the file, found on load before any map is
+    # written, not a numeric failure of the network
     state = load_checkpoint(workspace / "model.ckpt")
-    name = next(iter(state))
-    state[name] = np.full_like(state[name], np.nan)
+    name = list(state)[1]
+    state[name] = state[name].copy()
+    state[name].flat[0] = np.nan
     save_checkpoint(state.items(), tmp_path / "nan.ckpt")
     (tmp_path / "nan.ckpt.json").write_bytes((workspace / "model.ckpt.json").read_bytes())
     assert main([
         "infer", "--cube", str(workspace / "scene0.hsv2"),
         "--checkpoint", str(tmp_path / "nan.ckpt"), "--out", str(tmp_path / "nan.pgm"),
-    ]) == 3
-    assert not (tmp_path / "nan.pgm").exists()
+        "--float-out", str(tmp_path / "nan.f32"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "nan.ckpt") in err and repr(name) in err and "non-finite" in err
+    assert not (tmp_path / "nan.pgm").exists() and not (tmp_path / "nan.f32").exists()
 
 
 def test_stats_tables(tmp_path, workspace, capsys):

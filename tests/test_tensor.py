@@ -378,6 +378,19 @@ def test_channel_norm_cancels_per_channel_offsets():
     np.testing.assert_allclose(shifted, y, rtol=0.0, atol=1e-12)
 
 
+def test_channel_norm_tape_keeps_one_map_besides_its_output():
+    # the gain folds into the (C,1,1) inverse std, so the tape keeps the
+    # centered map and small factors, not a normalized copy as well: 2.06 x
+    # the input with the output, against 3.05 x for centered * inv * gain
+    rng = np.random.default_rng(7)
+    x = Parameter(rng.normal(size=(16, 32, 32)))
+    gain, bias = Parameter(rng.normal(size=16)), Parameter(rng.normal(size=16))
+    with Tape():
+        out, held = traced_held_bytes(lambda: T.channel_norm(x, gain, bias))
+    assert out.shape == x.shape
+    assert held < 2.5 * x.data.nbytes
+
+
 # ---------------------------------------------------------------------------
 # tape mechanics
 
@@ -500,7 +513,14 @@ def test_parameter_allocates_its_gradient_on_first_use():
     p.grad[0, 0] = 5.0
     assert p.grad[0, 0] == 5.0
     p.zero_grad()
+    assert p._grad is None  # dropped, not filled: nothing holds it during a forward pass
     np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
+    p.zero_grad()
+    with Tape() as tape:
+        loss = T.sum_over(T.mul(p, 2.0))
+    assert p._grad is None
+    tape.backward(loss)
+    np.testing.assert_array_equal(p._grad, np.full((2, 3), 2.0))
 
 
 def test_backward_frees_each_gradient_once_consumed():
