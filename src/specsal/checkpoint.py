@@ -74,7 +74,10 @@ def load_checkpoint(path) -> dict:
         if offset + 4 * size > end:
             raise truncated(offset, 4 * size)
         parts.append(np.frombuffer(payload, "<f4", size, offset))
-        state[name] = np.ndarray(shape, np.float64, flat, 8 * used)  # a view at a byte offset
+        try:  # a view at a byte offset; numpy refuses a shape whose byte count overflows
+            state[name] = np.ndarray(shape, np.float64, flat, 8 * used)
+        except ValueError as err:
+            raise CheckpointError(f"{path}: parameter {name!r} has unusable shape {shape}") from err
         offset, used = offset + 4 * size, used + size
     if offset != end:
         raise CheckpointError(f"{path}: {end - offset} trailing bytes")

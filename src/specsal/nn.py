@@ -4,7 +4,8 @@ Weights draw from uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) with a caller-owned
 numpy Generator, so a model built twice from the same seed is bit-identical.
 Without a Generator (rng=None) weights start at zero, which skips the draws for
 a model whose parameters a checkpoint is about to overwrite.
-Biases and norm offsets start at zero, norm gains and learnable scales at one.
+Biases and norm offsets start at zero, norm gains and learnable scales at one,
+each stored in the shape its op reads: conv biases and norm affines are (C,1,1).
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ class Conv2d(Module):
         fan_in = shape[1] * kh * kw
         self.stride = stride
         self.depthwise = depthwise
-        self.out_channels = out_channels
         self.weight = Parameter(uniform_init(rng, shape, fan_in))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros((out_channels, 1, 1))) if bias else None
 
     def __call__(self, x) -> Tensor:
         y = T.conv2d(x, self.weight, self.stride, depthwise=self.depthwise)
         if self.bias is not None:
-            y = T.add(y, T.reshape(self.bias, (self.out_channels, 1, 1)))
+            y = T.add(y, self.bias)
         return y
 
 
@@ -109,8 +109,8 @@ class ChannelNorm(Module):
     """Per-channel spatial standardization with learnable affine."""
 
     def __init__(self, channels: int):
-        self.gain = Parameter(np.ones(channels))
-        self.bias = Parameter(np.zeros(channels))
+        self.gain = Parameter(np.ones((channels, 1, 1)))
+        self.bias = Parameter(np.zeros((channels, 1, 1)))
 
     def __call__(self, x) -> Tensor:
         return T.channel_norm(x, self.gain, self.bias)

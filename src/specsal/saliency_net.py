@@ -198,8 +198,7 @@ class GlobalSaliencyHead(Module):
     def __init__(self, rng, level_sizes, grid: int, attention_width: int):
         self.grid = grid
         self.attention_width = attention_width
-        self.rearrange = []
-        adapt = []
+        self.rearrange, self.adapt = [], []
         for channels, size in zip(BRANCH_WIDTHS, level_sizes):
             if size % grid == 0:
                 factor = size // grid
@@ -210,8 +209,7 @@ class GlobalSaliencyHead(Module):
                 mode = ("shuffle", factor)
                 in_channels = channels // (factor * factor)
             self.rearrange.append(mode)
-            adapt.append(ConvNormRelu(rng, in_channels, channels, 3))
-        self.adapt = adapt
+            self.adapt.append(ConvNormRelu(rng, in_channels, channels, 3))
         self.project = Linear(rng, sum(BRANCH_WIDTHS), attention_width)
         self.to_query = Linear(rng, attention_width, attention_width)
         self.to_key = Linear(rng, attention_width, attention_width)

@@ -741,17 +741,16 @@ def downsample_avg(x, factor: int) -> Tensor:
 def channel_norm(x, gain, bias) -> Tensor:
     """Standardize each channel over its spatial positions, then apply affine.
 
-    Replaces batch normalization at batch size 1. gain/bias have shape (C,).
+    Replaces batch normalization at batch size 1. gain/bias are (C,1,1), which
+    broadcasts over (C,H,W) with no reshape; (C,) would broadcast along W, so it is refused.
     Taped primitives compute centered * (inv_std * gain) + bias, so the tape keeps one full map.
     """
-    xt = _as_tensor(x)
-    if xt.ndim != 3:
-        raise ShapeError(f"channel_norm input must be (C,H,W), got shape {xt.shape}")
-    c = xt.shape[0]
+    xt, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if xt.ndim != 3 or gain.shape != bias.shape or gain.shape != (xt.shape[0], 1, 1):
+        raise ShapeError(f"channel_norm needs (C,H,W) input and (C,1,1) gain and bias, "
+                         f"got {xt.shape}, {gain.shape}, {bias.shape}")
     m = mean_over(x, axes=(1, 2), keepdims=True)
     centered = sub(x, m)
     var = mean_over(mul(centered, centered), axes=(1, 2), keepdims=True)
     inv = power(add(var, 1e-5), -0.5)  # epsilon 1e-5 keeps constant channels finite
-    g3 = reshape(gain, (c, 1, 1))
-    b3 = reshape(bias, (c, 1, 1))
-    return add(mul(centered, mul(inv, g3)), b3)
+    return add(mul(centered, mul(inv, gain)), bias)

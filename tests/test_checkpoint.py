@@ -171,6 +171,17 @@ def test_load_rejects_cuts_of_a_model_checkpoint(tmp_path):
             load_checkpoint(clipped)
 
 
+def test_load_rejects_a_shape_numpy_cannot_hold(tmp_path):
+    # no values, but the nonzero dimensions overflow numpy's byte count for a view
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IH", 1, 1) + b"w"
+                     + struct.pack("<B3I", 3, 0, 2**31, 2**31))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value) and "'w'" in str(info.value)
+    assert str((0, 2**31, 2**31)) in str(info.value)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "extra.ckpt"
     save_checkpoint([("w", np.zeros(2))], path)

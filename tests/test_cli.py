@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from specsal import tensor as T
 from specsal.baselines import sad_map
-from specsal.checkpoint import apply_state, load_checkpoint, save_checkpoint
+from specsal.checkpoint import CHECKPOINT_MAGIC, apply_state, load_checkpoint, save_checkpoint
 from specsal.cli import main
 from specsal.configio import model_config_from_dict
 from specsal.cube import HsiCube, calibrate, pseudo_color, read_cube, write_cube
@@ -444,6 +445,40 @@ def test_infer_nan_checkpoint_exits_two(tmp_path, workspace, capsys):
     err = capsys.readouterr().err
     assert str(tmp_path / "nan.ckpt") in err and repr(name) in err and "non-finite" in err
     assert not (tmp_path / "nan.pgm").exists() and not (tmp_path / "nan.f32").exists()
+
+
+def test_infer_checkpoint_with_a_flat_norm_gain_exits_two(tmp_path, workspace, capsys):
+    # checkpoints written before parameters took the (C,1,1) shape channel_norm
+    # reads hold (C,) norm gains; they are refused by name, not broadcast
+    state = load_checkpoint(workspace / "model.ckpt")
+    name = next(name for name in state if name.endswith(".norm.gain"))
+    assert state[name].shape[1:] == (1, 1)
+    state[name] = state[name].reshape(-1)
+    save_checkpoint(state.items(), tmp_path / "old.ckpt")
+    (tmp_path / "old.ckpt.json").write_bytes((workspace / "model.ckpt.json").read_bytes())
+    assert main([
+        "infer", "--cube", str(workspace / "scene0.hsv2"),
+        "--checkpoint", str(tmp_path / "old.ckpt"), "--out", str(tmp_path / "old.pgm"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and name in err
+    assert f"{state[name].shape}" in err and f"{state[name].shape + (1, 1)}" in err
+    assert not (tmp_path / "old.pgm").exists()
+
+
+def test_infer_checkpoint_with_a_shape_numpy_cannot_hold_exits_two(tmp_path, workspace, capsys):
+    # no values, but numpy refuses a view whose nonzero dimensions overflow its byte count
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IH", 1, 1) + b"w"
+                     + struct.pack("<B3I", 3, 0, 2**31, 2**31))
+    (tmp_path / "huge.ckpt.json").write_bytes((workspace / "model.ckpt.json").read_bytes())
+    assert main([
+        "infer", "--cube", str(workspace / "scene0.hsv2"),
+        "--checkpoint", str(path), "--out", str(tmp_path / "huge.pgm"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err and "'w'" in err and str((0, 2**31, 2**31)) in err
 
 
 def test_stats_tables(tmp_path, workspace, capsys):

@@ -62,7 +62,15 @@ def _checkpoint_prefixes():
         lambda rank: CHECKPOINT_MAGIC + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B", rank),
         small,
     )
-    return st.just(CHECKPOINT_MAGIC) | count | named | record
+    # one record named "w" whose shape puts a zero beside large dimensions: it
+    # holds no values, yet numpy cannot make the view once they overflow
+    large = st.lists(st.integers(min_value=2**30, max_value=2**32 - 1), min_size=1, max_size=3)
+    zero_beside_large = st.builds(
+        lambda dims, at: CHECKPOINT_MAGIC + struct.pack("<IH", 1, 1) + b"w"
+        + struct.pack(f"<B{len(dims) + 1}I", len(dims) + 1, *dims[:at], 0, *dims[at:]),
+        large, st.integers(min_value=0, max_value=3),
+    )
+    return st.just(CHECKPOINT_MAGIC) | count | named | record | zero_beside_large
 
 
 @pytest.mark.parametrize(

@@ -353,8 +353,8 @@ def test_sigmoid_is_symmetric_within_one_ulp():
 def test_channel_norm_standardizes_then_affines():
     rng = np.random.default_rng(5)
     x = rng.normal(loc=3.0, scale=2.0, size=(4, 6, 6))
-    gain = Tensor(np.ones(4))
-    bias = Tensor(np.zeros(4))
+    gain = Tensor(np.ones((4, 1, 1)))
+    bias = Tensor(np.zeros((4, 1, 1)))
     y = T.channel_norm(Tensor(x), gain, bias).data
     np.testing.assert_allclose(y.mean(axis=(1, 2)), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.std(axis=(1, 2)), 1.0, atol=1e-4)  # eps=1e-5 bias
@@ -362,7 +362,8 @@ def test_channel_norm_standardizes_then_affines():
     y2 = T.channel_norm(Tensor(17.0 * x), gain, bias).data
     np.testing.assert_allclose(y2, y, atol=1e-4)
     # affine comes after standardization
-    y3 = T.channel_norm(Tensor(x), Tensor(np.full(4, 2.0)), Tensor(np.full(4, 7.0))).data
+    two, seven = Tensor(np.full((4, 1, 1), 2.0)), Tensor(np.full((4, 1, 1), 7.0))
+    y3 = T.channel_norm(Tensor(x), two, seven).data
     np.testing.assert_allclose(y3, 2.0 * y + 7.0, atol=1e-12)
 
 
@@ -371,7 +372,7 @@ def test_channel_norm_cancels_per_channel_offsets():
     # subtraction removes any per-channel constant exactly, up to rounding.
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 6, 5))
-    gain, bias = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    gain, bias = Tensor(rng.normal(size=(4, 1, 1))), Tensor(rng.normal(size=(4, 1, 1)))
     offsets = np.array([3.0, -2.0, 0.5, 40.0])[:, None, None]
     y = T.channel_norm(Tensor(x), gain, bias).data
     shifted = T.channel_norm(Tensor(x + offsets), gain, bias).data
@@ -384,11 +385,23 @@ def test_channel_norm_tape_keeps_one_map_besides_its_output():
     # the input with the output, against 3.05 x for centered * inv * gain
     rng = np.random.default_rng(7)
     x = Parameter(rng.normal(size=(16, 32, 32)))
-    gain, bias = Parameter(rng.normal(size=16)), Parameter(rng.normal(size=16))
+    gain, bias = Parameter(rng.normal(size=(16, 1, 1))), Parameter(rng.normal(size=(16, 1, 1)))
     with Tape():
         out, held = traced_held_bytes(lambda: T.channel_norm(x, gain, bias))
     assert out.shape == x.shape
     assert held < 2.5 * x.data.nbytes
+
+
+def test_channel_norm_refuses_an_affine_not_shaped_c11():
+    # a (C,) gain would broadcast along W: on a map with W == C the output has
+    # the right shape and wrong values, so only (C,1,1) gain and bias pass
+    x = Tensor(np.random.default_rng(8).normal(size=(4, 4, 4)))
+    c11, flat = Tensor(np.ones((4, 1, 1))), Tensor(np.ones(4))
+    for gain, bias in [(flat, flat), (flat, c11), (c11, flat), (c11, Tensor(np.ones((1, 1, 1))))]:
+        with pytest.raises(ShapeError, match=r"\(C,1,1\) gain and bias"):
+            T.channel_norm(x, gain, bias)
+    with pytest.raises(ShapeError):
+        T.channel_norm(Tensor(np.ones((4, 4))), c11, c11)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +723,7 @@ PRIMITIVE_CASES = {
     "downsample": (lambda x: scalarize(T.mul(T.downsample_avg(x, 2), 2.0)), [(2, 4, 4)]),
     "channel_norm": (
         lambda x, g, b: scalarize(T.mul(T.channel_norm(x, g, b), T.exp(T.mul(x, 0.1)))),
-        [(3, 4, 4), (3,), (3,)],
+        [(3, 4, 4), (3, 1, 1), (3, 1, 1)],
     ),
 }
 
