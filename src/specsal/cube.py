@@ -102,7 +102,8 @@ def read_cube(path) -> HsiCube:
         raise CubeDimensionError(
             f"{path}: payload has {len(body) - expected} bytes beyond the declared {c}x{h}x{w}"
         )
-    data = np.frombuffer(body, dtype="<f4").reshape(c, h, w).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, which HsiCube rejects
+        data = np.frombuffer(body, dtype="<f4").reshape(c, h, w).astype(np.float64)
     try:
         return HsiCube(data, start, step)
     except DataError as exc:

@@ -119,4 +119,5 @@ def read_float_map(path) -> np.ndarray:
             f"{len(payload) - 8}"
         )
     data = np.frombuffer(payload[8:], dtype="<f4")
-    return data.reshape(int(h), int(w)).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, which eval rejects
+        return data.reshape(int(h), int(w)).astype(np.float64)

@@ -17,8 +17,15 @@ from .exceptions import MetricInputError, ShapeError
 THRESHOLD_PROTOCOL = "adaptive 2*mean(pred) capped at 1; avg_f1 over i/256, i=1..255"
 
 
+class _Checked(np.ndarray):
+    """A flat prediction that _validated passed. evaluate_pair hands it, with the flat
+    ground truth _validated returned, to each metric, so the pair is checked once."""
+
+
 def _validated(pred, gt):
     """Flat float64 pair; min and max propagate NaN, so NaN and ±inf fail the range test."""
+    if type(pred) is _Checked:
+        return pred.view(np.ndarray), gt
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -148,7 +155,8 @@ class MetricReport:
 
 def evaluate_pair(pred, gt) -> MetricReport:
     """Score one prediction; degenerate metrics are flagged, not raised."""
-    _validated(pred, gt)  # shared domain errors surface before any metric
+    pred, gt = _validated(pred, gt)  # shared domain errors surface before any metric
+    pred = pred.view(_Checked)
     values = {}
     errors = []
     # precision_recall yields two columns from one thresholding pass.

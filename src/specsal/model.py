@@ -17,7 +17,7 @@ from .exceptions import ConfigError, ShapeError
 from .nn import Module
 from .saliency_net import BRANCH_WIDTHS, DecoderConfig, HighResBackbone, SaliencyDecoder, resize_to
 from .spectral_attention import EncoderConfig, SpectralEncoder
-from .tensor import Tensor
+from .tensor import Store, Tensor
 
 
 @dataclass
@@ -114,7 +114,9 @@ class ModelOutput:
 class SaliencyModel(Module):
     """End-to-end network; construction order fixes the rng draw sequence.
 
-    rng=None builds zero weights, to be filled by checkpoint.apply_state.
+    rng=None builds zero weights, to be filled by checkpoint.apply_state. Once
+    built, every parameter's values are a slice of one flat Store, in
+    parameters_by_name order.
     """
 
     def __init__(self, rng: np.random.Generator | None, config: ModelConfig):
@@ -123,6 +125,7 @@ class SaliencyModel(Module):
         self.backbone = HighResBackbone(rng, config.encoder.working_bands, config.stem_stride)
         self.decoder = SaliencyDecoder(rng, config.level_sizes(), config.decoder)
         self.parameters_by_name = dict(self.named_parameters())  # the tree is fixed from here on
+        Store.pack(self.parameters_by_name.values())
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
         self.config.check_cube(np.shape(cube_values))

@@ -1,7 +1,8 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor that
-also owns a gradient array. Differentiable ops are module-level functions, and
+Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor with a
+gradient array; the values and gradients of the Parameters of one Store are
+slices of two flat arrays. Differentiable ops are module-level functions, and
 each passes its own name to _push. While a Tape is active it records each op
 with an input that needs a gradient, as gradient nodes and a closure that keeps
 only the shapes and arrays backward reads. Tape.backward pops each record once,
@@ -64,24 +65,63 @@ class Tensor:
 class Parameter(Tensor):
     """A Tensor that Tape.backward accumulates a gradient into; its own node.
 
-    ``grad`` is a plain array, allocated on first use and dropped by zero_grad, so no taped
-    forward pass holds it. Its name is its attribute path, which Module.named_parameters walks.
+    ``data`` views ``store.data`` from ``offset`` on: Store.pack gives a trained module
+    tree one Store for all its Parameters, and any other Parameter gets one of its own,
+    a flat view of its data, when first asked. ``grad`` views ``store.grad`` the same
+    way; the first read allocates it for the whole store and zero_grad drops it, so no
+    taped forward pass holds it. A Parameter's name is its attribute path, which
+    Module.named_parameters walks.
     """
 
-    __slots__ = ("_grad",)
+    __slots__ = ("_store", "offset")
 
     def __init__(self, data):
-        super().__init__(data)
-        self._grad = None
+        super().__init__(np.asarray(data, dtype=np.float64, order="C"))  # so a flat view exists
+        self._store, self.offset = None, 0
+
+    @property
+    def store(self) -> Store:
+        if self._store is None:
+            self._store = Store(self.data.reshape(-1))
+        return self._store
 
     @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
+        store = self.store
+        if store.grad is None:
+            store.grad = np.zeros_like(store.data)
+        return store.grad[self.offset : self.offset + self.size].reshape(self.shape)
 
     def zero_grad(self) -> None:
-        self._grad = None
+        """Drop the gradient of every Parameter in this one's store."""
+        self.store.grad = None
+
+
+class Store:
+    """A flat float64 array, ``data``, whose consecutive slices are the .data of its
+    Parameters, and while their gradients live a flat ``grad`` laid out the same way.
+    It keeps no reference to its Parameters, so a model is freed without a cycle
+    collection.
+    """
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data):
+        self.data, self.grad = data, None
+
+    @classmethod
+    def pack(cls, parameters) -> Store:
+        """Copy the values of ``parameters`` in order into one new Store and rebind each
+        .data to its slice. A trained module tree calls this once, as its construction
+        ends; nothing rebinds a Parameter's data after that."""
+        parameters = list(parameters)
+        store = cls(np.concatenate([p.data.ravel() for p in parameters]))
+        offset = 0
+        for p in parameters:
+            end = offset + p.data.size
+            p.data = store.data[offset:end].reshape(p.data.shape)
+            p._store, p.offset, offset = store, offset, end
+        return store
 
 
 class _Node:
@@ -598,6 +638,8 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
 
     def im2col(a, transposed):
         # (groups, rows, pixels) of x placed densely and sampled at stride s, or g spread at s
+        if kh == kw == s == 1:  # already that matrix: no padding, no copy
+            return np.ascontiguousarray(a).reshape(groups, -1, h * w)
         place, step, rows, cols = (s, 1, h, w) if transposed else (1, s, ho, wo)
         padded = np.zeros((a.shape[0], h + kh - 1, w + kw - 1), dtype=a.dtype)
         padded[:, ph : ph + h : place, pw : pw + w : place] = a

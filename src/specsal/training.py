@@ -40,43 +40,74 @@ class AdamOptimizer:
     """Bias-corrected adaptive moments over the given parameters.
 
     The moment decays and epsilon are Kingma & Ba's defaults (arXiv:1412.6980).
+    The parameters are read as runs, (store, start, stop) slices of adjacent
+    parameters of one Store: one run for a whole model, a few for a subset of
+    one, one per Parameter that no pack joined. The two moments are flat
+    arrays over the runs. step() updates moments
+    and values in place from the flat gradients backprop left, ``chunk``
+    scalars at a time, so every array a pass touches stays in cache; each
+    element sees the textbook update's arithmetic in its order.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     epsilon = 1e-8
+    chunk = 1 << 14
 
     def __init__(self, parameters, learning_rate=1e-3):
-        self.parameters = list(parameters)
         self.learning_rate = learning_rate
-        self.first = [np.zeros_like(p.data) for p in self.parameters]
-        self.second = [np.zeros_like(p.data) for p in self.parameters]
+        self.runs = []
+        for p in parameters:
+            if self.runs and self.runs[-1][0] is p.store and self.runs[-1][2] == p.offset:
+                self.runs[-1][2] += p.size
+            else:
+                self.runs.append([p.store, p.offset, p.offset + p.size])
+        size = sum(stop - start for _, start, stop in self.runs)
+        self.first = np.zeros(size)
+        self.second = np.zeros(size)
+        self._scratch = np.empty((2, min(size, self.chunk)))
         self.updates = 0
 
     def step(self) -> None:
         self.updates += 1
         scale1 = 1.0 - self.beta1 ** self.updates
         scale2 = 1.0 - self.beta2 ** self.updates
-        for p, m, v in zip(self.parameters, self.first, self.second):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.learning_rate * (m / scale1) / (
-                np.sqrt(v / scale2) + self.epsilon
-            )
+        at = 0
+        for store, start, stop in self.runs:
+            for lo in range(start, stop, self.chunk):
+                hi = min(lo + self.chunk, stop)
+                g, n = store.grad[lo:hi], hi - lo
+                m, v = self.first[at : at + n], self.second[at : at + n]
+                t, u = self._scratch[0, :n], self._scratch[1, :n]
+                m *= self.beta1  # m = beta1 m + (1 - beta1) g
+                np.multiply(g, 1.0 - self.beta1, out=t)
+                m += t
+                v *= self.beta2  # v = beta2 v + (1 - beta2) g g
+                np.multiply(g, 1.0 - self.beta2, out=t)
+                t *= g
+                v += t
+                np.divide(m, scale1, out=t)  # p -= lr (m / scale1) / (sqrt(v / scale2) + eps)
+                t *= self.learning_rate
+                np.divide(v, scale2, out=u)
+                np.sqrt(u, out=u)
+                u += self.epsilon
+                t /= u
+                store.data[lo:hi] -= t
+                at += n
 
 
 def backprop(named_parameters, build, context: str):
-    """Zero each parameter's .grad, run build() under a Tape, backpropagate the
-    scalar loss it returns and return that loss. A non-finite loss raises
-    NumericError naming the first non-finite op (build() reruns under
-    first_non_finite); a non-finite gradient raises one naming the parameter.
-    ``context`` says where, e.g. "update 3"."""
+    """Drop the gradients of the parameters' stores, run build() under a Tape,
+    give each store one zeroed flat gradient, backpropagate the scalar loss
+    build() returns into it and return that loss. The gradients stay readable
+    until the next backprop. A non-finite loss raises NumericError naming the
+    first non-finite op (build() reruns under first_non_finite); a non-finite
+    gradient raises one naming the parameter. ``context`` says where, e.g.
+    "update 3"."""
     named_parameters = list(named_parameters)
-    for _, p in named_parameters:
-        p.zero_grad()
+    stores = dict.fromkeys(p.store for _, p in named_parameters)
+    for store in stores:
+        store.grad = None
     with Tape() as tape:
         loss = build()
     if not math.isfinite(loss.item()):
@@ -85,10 +116,13 @@ def backprop(named_parameters, build, context: str):
             f"first non-finite tensor came from op '{found[1]}' "
             f"(tape record {found[0]}, shape {found[2].shape})")
         raise NumericError(f"loss is {loss.item()} at {context}; {where}")
+    for store in stores:
+        store.grad = np.zeros_like(store.data)
     tape.backward(loss)
-    for name, p in named_parameters:
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient for {name} at {context}")
+    if not all(np.isfinite(store.grad).all() for store in stores):
+        for name, p in named_parameters:
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient for {name} at {context}")
     return loss
 
 

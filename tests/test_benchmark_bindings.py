@@ -56,3 +56,9 @@ def test_traced_train_step_records_and_replays_the_tape(monkeypatch):
         np.testing.assert_array_equal(got, want)
     assert tracer.tape_records > 0
     assert tracer.calls["tensor.conv2d.bwd"] > 0
+    # every model-path row a training step feeds saw a call; a bare step
+    # reads no file and scores nothing, so the io and metrics rows stay out
+    _, silent = spans.report(tracer, spans.TRAIN)
+    model_path = ("tensor.", "training.", "losses.", "spectral_attention.", "saliency_net.",
+                  "model.forward")
+    assert [name for name in silent if name.startswith(model_path)] == []

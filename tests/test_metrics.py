@@ -380,6 +380,25 @@ def test_evaluate_pair_thresholds_once_and_flags_both_columns(monkeypatch):
     assert {"pre", "rec"} <= {flag.split(":")[0] for flag in empty.errors}
 
 
+def test_evaluate_pair_validates_the_pair_once(monkeypatch):
+    # the metrics still run _validated, but on the checked pair it only unwraps
+    checked = []
+    original = specsal.metrics._validated
+
+    def counted(pred, gt):
+        checked.append(type(pred) is not specsal.metrics._Checked)
+        return original(pred, gt)
+
+    monkeypatch.setattr(specsal.metrics, "_validated", counted)
+    rng = np.random.default_rng(5)
+    pred, gt = rng.random((6, 7)), (rng.random((6, 7)) > 0.5).astype(float)
+    report = evaluate_pair(pred, gt)
+    assert checked == [True] + [False] * 5
+    assert (report.pre, report.rec) == precision_recall(pred, gt)
+    assert (report.mae, report.avg_f1, report.auc, report.cc) == (
+        mae(pred, gt), average_f1(pred, gt), roc_auc(pred, gt), pearson_cc(pred, gt))
+
+
 def test_mean_report_skips_flagged_entries():
     gt = np.zeros((4, 4))
     gt[1:3, 1:3] = 1.0

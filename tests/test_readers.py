@@ -6,6 +6,7 @@ exits 2) or ``OSError``; anything else would be a traceback.
 """
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from specsal.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
 from specsal.cube import _HEADER, CUBE_MAGIC, read_cube
-from specsal.exceptions import MaskFormatError, SpecsalError
+from specsal.exceptions import CubeDimensionError, MaskFormatError, MetricInputError, SpecsalError
 from specsal.imageio import read_float_map, read_pgm, write_float_map
 from specsal.masks import read_mask
+from specsal.metrics import evaluate_pair
 
 tails = st.binary(max_size=96)
 small = st.integers(min_value=0, max_value=4)
@@ -121,3 +123,27 @@ def test_pgm_rejects_trailing_bytes(read, tmp_path):
     path.write_bytes(path.read_bytes() + bytes([255, 255]))
     with pytest.raises(MaskFormatError, match="payload has 6 bytes, header claims 4"):
         read(path)
+
+
+SIGNALING_NAN = struct.pack("<I", 0x7F800001)  # float32 with the quiet bit clear
+
+
+def test_signaling_nan_float_map_is_refused_without_a_warning(tmp_path):
+    # widening a signaling NaN sets the invalid flag, which numpy would warn about
+    path = tmp_path / "map.f32"
+    path.write_bytes(struct.pack("<II", 2, 2) + SIGNALING_NAN + bytes(12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = read_float_map(path)
+        with pytest.raises(MetricInputError, match=r"^prediction contains non-finite values$"):
+            evaluate_pair(values, np.eye(2))
+
+
+def test_signaling_nan_cube_is_refused_without_a_warning(tmp_path):
+    path = tmp_path / "cube.hsv2"
+    path.write_bytes(_HEADER.pack(CUBE_MAGIC, 1, 1, 1, 400.0, 10.0) + SIGNALING_NAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CubeDimensionError) as caught:
+            read_cube(path)
+    assert str(caught.value) == f"{path}: cube data contains non-finite values"

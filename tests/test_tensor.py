@@ -518,22 +518,22 @@ def test_tensor_from_an_earlier_tape_is_a_constant():
 
 def test_parameter_allocates_its_gradient_on_first_use():
     p = Parameter(np.ones((2, 3)))
-    assert p._grad is None
+    assert p.store.grad is None
     with Tape():
         T.mul(p, 2.0)
-    assert p._grad is None  # forward alone never allocates it
+    assert p.store.grad is None  # forward alone never allocates it
     np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
     p.grad[0, 0] = 5.0
     assert p.grad[0, 0] == 5.0
     p.zero_grad()
-    assert p._grad is None  # dropped, not filled: nothing holds it during a forward pass
+    assert p.store.grad is None  # dropped, not filled: nothing holds it during a forward pass
     np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
     p.zero_grad()
     with Tape() as tape:
         loss = T.sum_over(T.mul(p, 2.0))
-    assert p._grad is None
+    assert p.store.grad is None
     tape.backward(loss)
-    np.testing.assert_array_equal(p._grad, np.full((2, 3), 2.0))
+    np.testing.assert_array_equal(p.store.grad, np.full(6, 2.0))
 
 
 def test_backward_frees_each_gradient_once_consumed():

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from specsal import tensor as T
+from specsal.checkpoint import apply_state
 from specsal.exceptions import ConfigError, NumericError
 from specsal.losses import compute_losses
 from specsal.model import SaliencyModel, demo_model_config, tiny_model_config
 from specsal.nn import Linear, Module
 from specsal.scenes import synth_scene, training_demo_scene_spec
 from specsal.spectral_attention import SpectralEncoder
-from specsal.tensor import Parameter, Tensor
+from specsal.tensor import Parameter, Store, Tensor
 from specsal.training import (
     AdamOptimizer,
     TrainConfig,
@@ -54,6 +55,68 @@ def test_adam_matches_hand_computed_updates():
     param.grad[...] = g2
     opt.step()
     np.testing.assert_allclose(param.data, expected2, rtol=0, atol=1e-15)
+
+
+def _per_parameter_adam(values, grads, lr):
+    """The update as it ran before the flat store: one parameter at a time."""
+    b1, b2, eps = AdamOptimizer.beta1, AdamOptimizer.beta2, AdamOptimizer.epsilon
+    values = [v.copy() for v in values]
+    first = [np.zeros_like(v) for v in values]
+    second = [np.zeros_like(v) for v in values]
+    for step, step_grads in enumerate(grads, start=1):
+        scale1, scale2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for p, m, v, g in zip(values, first, second, step_grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / scale1) / (np.sqrt(v / scale2) + eps)
+    return values
+
+
+def test_flat_adam_matches_the_per_parameter_update_bit_for_bit(monkeypatch):
+    # chunks of 4 scalars cut across parameters and runs; the subset leaves a
+    # gap, so its moments cover two runs of the store
+    monkeypatch.setattr(AdamOptimizer, "chunk", 4)
+    rng = np.random.default_rng(9)
+    shapes = [(3, 2), (5,), (), (2, 2, 2)]
+    grads = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes] for _ in range(4)]
+    for chosen in ([0, 1, 2, 3], [0, 1, 3]):
+        params = [Parameter(rng.normal(size=s)) for s in shapes]
+        Store.pack(params)
+        start = [params[i].data.copy() for i in chosen]
+        opt = AdamOptimizer([params[i] for i in chosen], learning_rate=0.01)
+        assert len(opt.runs) == (1 if len(chosen) == 4 else 2)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad[...] = g
+            opt.step()
+        want = _per_parameter_adam(start, [[g[i] for i in chosen] for g in grads], 0.01)
+        for i, values in zip(chosen, want):
+            np.testing.assert_array_equal(params[i].data, values)
+
+
+def test_model_parameters_view_one_flat_store():
+    model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
+    params = model.parameters()
+    flat = params[0].store.data
+    assert flat.size == sum(p.size for p in params)
+    assert all(p.store is params[0].store and np.shares_memory(p.data, flat) for p in params)
+    np.testing.assert_array_equal(np.concatenate([p.data.ravel() for p in params]), flat)
+
+
+def test_parameter_arrays_keep_their_identity():
+    # training, loading a checkpoint and jittering write into the store in place
+    cube, mask = _demo_example()
+    model = SaliencyModel(np.random.default_rng(2), tiny_model_config())
+    arrays = [p.data for p in model.parameters()]
+    trained = {name: p.data.copy() for name, p in model.named_parameters()}
+    train_loop(model, [(cube, mask)], TrainConfig(steps=2))
+    assert all(p.data is a for p, a in zip(model.parameters(), arrays))
+    apply_state(model, trained)
+    jitter_parameters(model.parameters(), seed=3)
+    assert all(p.data is a for p, a in zip(model.parameters(), arrays))
+    assert np.shares_memory(arrays[0], model.parameters()[-1].store.data)
 
 
 def test_adam_first_step_moves_by_signed_learning_rate():
@@ -158,19 +221,20 @@ def test_no_reshape_in_a_demo_step_takes_a_parameter():
 
 def test_demo_train_step_peak_memory():
     # a step holds only what backward reads: a record keeps no op's inputs or
-    # output it does not need, each channel_norm keeps one full map, and
-    # gradients exist from backward to the update. Traced from the optimizer's
-    # creation over three steps, so gradients freed between steps count too:
-    # 13.9 MB on numpy 2.4, against 17.4 MB when zero_grad kept every gradient
-    # through the forward pass and each norm also kept its normalized map
+    # output it does not need, each channel_norm keeps one full map, and the
+    # gradient exists from the end of the forward pass to the next step's
+    # backprop. Traced over three steps of train_loop from before it builds its
+    # optimizer, so gradients freed between steps count too: 15.3 MB on numpy
+    # 2.4. The flat gradient is allocated whole before backward frees any
+    # record; per-parameter gradients allocated as backward reached them
+    # peaked at 13.8 MB, and 17.4 MB when zero_grad kept them through the
+    # forward pass and each norm kept its normalized map
     cube, mask = synth_scene(training_demo_scene_spec(), 4)
     mask = mask.astype(float)
     model = SaliencyModel(np.random.default_rng(2), demo_model_config())
     tracemalloc.start()
     try:
-        opt = AdamOptimizer(model.parameters())
-        for _ in range(3):
-            train_step(model, cube.data, mask, opt)
+        train_loop(model, [(cube.data, mask)], TrainConfig(steps=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,6 +319,7 @@ def test_frozen_attention_scalars_train_worse_than_free(seeded_demo_run):
         report = train_step(model, cube.data, mask.astype(float), optimizer)
     _, _, free_reports = seeded_demo_run
     assert free_reports[-1].total < report.total
+    assert report.total == float.fromhex("0x1.625cd2c4670a3p+0")
 
 
 def _spearman(a, b):
