@@ -93,9 +93,6 @@ def write_ppm(values: np.ndarray, path) -> None:
     write_bytes_atomic(path, header + values.tobytes())
 
 
-FLOAT_MAP_SUFFIX = ".f32"
-
-
 def write_float_map(values: np.ndarray, path) -> None:
     """Raw float sidecar for exact evaluation: u32 H, u32 W, then H*W f32 LE."""
     values = np.asarray(values, dtype=np.float64)

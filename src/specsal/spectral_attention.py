@@ -167,6 +167,8 @@ class EncoderConfig:
             raise ConfigError(f"encoder config fields must be positive: {self}")
         if self.blocks > 64:  # far above every preset; bounds build time and memory
             raise ConfigError(f"encoder blocks must be at most 64, got {self.blocks}")
+        if self.bands > 1024:  # far above every preset; the embed kernel grows as bands²
+            raise ConfigError(f"encoder bands must be at most 1024, got {self.bands}")
         if self.bands % BAND_GROUP != 0:
             raise ConfigError(
                 f"band group {BAND_GROUP} does not divide {self.bands} bands"

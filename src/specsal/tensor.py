@@ -68,9 +68,9 @@ class Parameter(Tensor):
     ``data`` views ``store.data`` from ``offset`` on: Store.pack gives a trained module
     tree one Store for all its Parameters, and any other Parameter gets one of its own,
     a flat view of its data, when first asked. ``grad`` views ``store.grad`` the same
-    way; the first read allocates it for the whole store and zero_grad drops it, so no
-    taped forward pass holds it. A Parameter's name is its attribute path, which
-    Module.named_parameters walks.
+    way; the first read allocates it for the whole store, and backprop drops it before
+    each taped forward pass, so none holds it. A Parameter's name is its attribute
+    path, which Module.named_parameters walks.
     """
 
     __slots__ = ("_store", "offset")
@@ -91,10 +91,6 @@ class Parameter(Tensor):
         if store.grad is None:
             store.grad = np.zeros_like(store.data)
         return store.grad[self.offset : self.offset + self.size].reshape(self.shape)
-
-    def zero_grad(self) -> None:
-        """Drop the gradient of every Parameter in this one's store."""
-        self.store.grad = None
 
 
 class Store:

@@ -2,7 +2,9 @@
 
 Each test restates its criterion in the docstring and checks it end to end
 with independent oracles, committed seeded references, or hand-built
-fixtures. Budgets are wall-clock seconds, single process.
+fixtures. The seeded reference runs are defined once, in
+tools/make_reference_trajectories.py, which tests/conftest.py loads.
+Budgets are wall-clock seconds, single process.
 """
 
 import json
@@ -25,29 +27,11 @@ from specsal.manifest import (
 )
 from specsal.masks import is_small_object, write_mask
 from specsal.metrics import average_f1, mae, pearson_cc, roc_auc
-from specsal.model import (
-    EncoderConfig,
-    SaliencyModel,
-    SpectralEncoder,
-    demo_model_config,
-    tiny_model_config,
-)
+from specsal.model import SaliencyModel, tiny_model_config
 from specsal.saliency_net import block_ground_truth
-from specsal.scenes import (
-    color_similar_scene_spec,
-    reconstruction_demo_scene_spec,
-    synth_scene,
-    training_demo_scene_spec,
-)
+from specsal.scenes import color_similar_scene_spec, synth_scene, training_demo_scene_spec
 from specsal.tensor import Tensor, pixel_shuffle, pixel_unshuffle, softmax
-from specsal.training import (
-    TrainConfig,
-    fit_reconstruction,
-    grad_check_suite,
-    parameter_group,
-    tiny_model_audit,
-    train_loop,
-)
+from specsal.training import grad_check_suite, parameter_group, tiny_model_audit
 
 REFERENCE_DIR = Path(__file__).parent / "reference"
 
@@ -198,27 +182,17 @@ def test_structural_invariants_suite(tmp_path):
     assert time.perf_counter() - started < 120.0
 
 
-def test_seeded_training_run_halves_loss_and_matches_reference():
+def test_seeded_training_run_halves_loss_and_matches_reference(seeded_demo_run, reference_tool):
     """100 seeded optimizer steps on the 32x32x8 demonstration scene cut the
     merged loss below half its initial value, and the full four-column loss
     trajectory is bit-identical to the committed reference; under 5 minutes."""
-    started = time.perf_counter()
-    cube, mask = synth_scene(training_demo_scene_spec(), seed=0)
-    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
-    reports = train_loop(model, [(cube.data, mask.astype(np.float64))],
-                         TrainConfig(seed=0, steps=100))
-    assert len(reports) == 100
-    assert reports[-1].total < 0.5 * reports[0].total
+    run, seconds = seeded_demo_run
+    assert len(run.reports) == 100
+    assert run.reports[-1].total < 0.5 * run.reports[0].total
 
     reference = json.loads((REFERENCE_DIR / "training_demo.json").read_text())
-    observed = {
-        "L_s": [r.reconstruction.hex() for r in reports],
-        "L_sod": [r.saliency.hex() for r in reports],
-        "L_g": [r.global_guidance.hex() for r in reports],
-        "L_m": [r.total.hex() for r in reports],
-    }
-    assert observed == reference["columns"]
-    assert time.perf_counter() - started < 300.0
+    assert reference_tool.training_demo_trajectory(run.reports) == reference
+    assert seconds < 300.0
 
 
 def test_spectral_angle_baseline_beats_luminance_control_on_color_similar_scene():
@@ -232,18 +206,17 @@ def test_spectral_angle_baseline_beats_luminance_control_on_color_similar_scene(
     assert roc_auc(luminance_contrast_map(cube), gt) <= 0.60
 
 
-def test_reconstruction_only_training_reaches_quarter_error():
+def test_reconstruction_only_training_reaches_quarter_error(reference_tool):
     """200 reconstruction-only steps on the seeded 16x16x32 scene push the
     restoration error below 25% of its initial value, and the loss history is
     bit-identical to the committed reference run."""
-    cube, _ = synth_scene(reconstruction_demo_scene_spec(), seed=0)
-    encoder = SpectralEncoder(np.random.default_rng(0), EncoderConfig())
-    history = fit_reconstruction(encoder, cube.data, steps=200)
+    observed = reference_tool.reconstruction_demo_trajectory()
+    history = [float.fromhex(value) for value in observed["loss"]]
     assert len(history) == 200
     assert history[-1] < 0.25 * history[0]
 
     reference = json.loads((REFERENCE_DIR / "reconstruction_demo.json").read_text())
-    assert [value.hex() for value in history] == reference["loss"]
+    assert observed == reference
 
 
 def _block_mask(height, width, top, left):

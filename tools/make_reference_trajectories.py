@@ -1,9 +1,10 @@
 """Regenerate the committed seeded loss trajectories under tests/reference/.
 
-The acceptance suite replays the same seeded runs and compares against these
-files bit-exactly, so any change to initialization order, optimizer math, or
-the loss graph shows up as a diff here. Floats are stored as hex strings to
-survive JSON round trips without rounding.
+This tool is the one definition of those runs: the test suite loads it by
+file path (tests/conftest.py), runs each once per session and compares the
+result with these files bit-exactly, so any change to initialization order,
+optimizer math, or the loss graph shows up as a diff here. Floats are stored
+as hex strings to survive JSON round trips without rounding.
 
 Before overwriting a committed file, the tool prints the largest relative
 drift of each column from it, so a deliberate numeric change can report how
@@ -17,6 +18,7 @@ Run from the repository root:
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,16 +36,29 @@ from specsal.training import TrainConfig, fit_reconstruction, train_loop  # noqa
 REFERENCE_DIR = ROOT / "tests" / "reference"
 
 
-def training_demo_trajectory() -> dict:
+class TrainingDemoRun(NamedTuple):
+    cube: np.ndarray  # (bands, H, W) values
+    mask: np.ndarray  # (H, W) float64
+    model: SaliencyModel  # after the last update
+    reports: list  # one LossReport per step, before its update
+
+
+def training_demo_run() -> TrainingDemoRun:
+    """The seeded 100-step demo run: scene 0 and model 0 under TrainConfig(seed=0)."""
     cube, mask = synth_scene(training_demo_scene_spec(), seed=0)
+    mask = mask.astype(np.float64)
     model = SaliencyModel(np.random.default_rng(0), demo_model_config())
-    config = TrainConfig(seed=0, steps=100)
-    reports = train_loop(model, [(cube.data, mask.astype(np.float64))], config)
+    reports = train_loop(model, [(cube.data, mask)], TrainConfig(seed=0, steps=100))
+    return TrainingDemoRun(cube.data, mask, model, reports)
+
+
+def training_demo_trajectory(reports) -> dict:
+    """The committed form of a training demo run's loss reports."""
     return {
         "scene": "training-demo",
         "scene_seed": 0,
         "model_seed": 0,
-        "steps": config.steps,
+        "steps": len(reports),
         "columns": {
             "L_s": [r.reconstruction.hex() for r in reports],
             "L_sod": [r.saliency.hex() for r in reports],
@@ -90,7 +105,7 @@ def largest_drift(old: dict, new: dict) -> dict:
 def main() -> None:
     REFERENCE_DIR.mkdir(parents=True, exist_ok=True)
     for name, build in (
-        ("training_demo", training_demo_trajectory),
+        ("training_demo", lambda: training_demo_trajectory(training_demo_run().reports)),
         ("reconstruction_demo", reconstruction_demo_trajectory),
     ):
         doc = build()
