@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError, ShapeError
 from .nn import Module
-from .saliency_net import BRANCH_WIDTHS, DecoderConfig, HighResBackbone, SaliencyDecoder, resize_to
+from .saliency_net import DecoderConfig, HighResBackbone, SaliencyDecoder, resize_to
 from .spectral_attention import EncoderConfig, SpectralEncoder
 from .tensor import Store, Tensor
 
@@ -42,16 +42,15 @@ class ModelConfig:
             raise ConfigError(
                 f"input size {self.input_size} must be a positive multiple of {need}"
             )
-        grid = self.decoder.grid
-        for width, size in zip(BRANCH_WIDTHS, self.level_sizes()):
+        grid, sizes = self.decoder.grid, self.level_sizes()
+        if grid > sizes[0]:
+            raise ConfigError(
+                f"decoder grid {grid} exceeds the finest level size {sizes[0]}"
+            )
+        for size in sizes:
             if size % grid and grid % size:
                 raise ConfigError(
                     f"decoder grid {grid} shares no integer factor with level size {size}"
-                )
-            if size < grid and width % (grid // size) ** 2:
-                raise ConfigError(
-                    f"decoder grid {grid} cannot shuffle the {width} channels of "
-                    f"level size {size} up by {grid // size}"
                 )
 
     @property
@@ -123,7 +122,7 @@ class SaliencyModel(Module):
         self.config = config
         self.encoder = SpectralEncoder(rng, config.encoder)
         self.backbone = HighResBackbone(rng, config.encoder.working_bands, config.stem_stride)
-        self.decoder = SaliencyDecoder(rng, config.level_sizes(), config.decoder)
+        self.decoder = SaliencyDecoder(rng, config.decoder)
         self.parameters_by_name = dict(self.named_parameters())  # the tree is fixed from here on
         Store.pack(self.parameters_by_name.values())
 

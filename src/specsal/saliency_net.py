@@ -181,35 +181,27 @@ class DecoderConfig:
             raise ConfigError(
                 f"decoder attention width must be at most 1024, got {self.attention_width}"
             )
+        if self.grid > 32:  # presets use 2 and 4; the head attends over grid^4 pairs
+            raise ConfigError(f"decoder grid must be at most 32, got {self.grid}")
 
 
 class GlobalSaliencyHead(Module):
     """Coarse saliency grid from all four levels via token self-attention.
 
-    Every level is rearranged losslessly to grid x grid (pixel unshuffle when
-    finer, pixel shuffle when coarser; ``ModelConfig`` admits only grids where
-    one of the two fits), adapted by a 3x3 conv + norm + relu, and flattened
-    to g^2 tokens. Tokens are projected to the attention width, mixed by one
-    softmax(QK^T/sqrt(d))V layer with a residual (no positional information,
-    so the layer is token-permutation equivariant), refined by a two-layer
-    MLP, and squashed to a (1, g, g) map in (0,1).
+    Every level is resized to grid x grid as pyramid pooling does (average
+    down when finer, nearest up when coarser; ``ModelConfig`` admits only grids
+    with an integer factor to every level), adapted by a width-preserving 3x3
+    conv + norm + relu, and flattened to g^2 tokens, so the head's size does
+    not depend on the input's. Tokens are projected to the attention width,
+    mixed by one softmax(QK^T/sqrt(d))V layer with a residual (no positional
+    information, so the layer is token-permutation equivariant), refined by a
+    two-layer MLP, and squashed to a (1, g, g) map in (0,1).
     """
 
-    def __init__(self, rng, level_sizes, grid: int, attention_width: int):
+    def __init__(self, rng, grid: int, attention_width: int):
         self.grid = grid
         self.attention_width = attention_width
-        self.rearrange, self.adapt = [], []
-        for channels, size in zip(BRANCH_WIDTHS, level_sizes):
-            if size % grid == 0:
-                factor = size // grid
-                mode = ("keep", 1) if factor == 1 else ("unshuffle", factor)
-                in_channels = channels * factor * factor
-            else:
-                factor = grid // size
-                mode = ("shuffle", factor)
-                in_channels = channels // (factor * factor)
-            self.rearrange.append(mode)
-            self.adapt.append(ConvNormRelu(rng, in_channels, channels, 3))
+        self.adapt = [ConvNormRelu(rng, c, c, 3) for c in BRANCH_WIDTHS]
         self.project = Linear(rng, sum(BRANCH_WIDTHS), attention_width)
         self.to_query = Linear(rng, attention_width, attention_width)
         self.to_key = Linear(rng, attention_width, attention_width)
@@ -230,13 +222,10 @@ class GlobalSaliencyHead(Module):
         return T.add(T.matmul(weights, self.to_value(tokens)), tokens)
 
     def __call__(self, feats) -> Tensor:
-        planes = []
-        for feat, (mode, factor), adapt in zip(feats, self.rearrange, self.adapt):
-            if mode == "unshuffle":
-                feat = T.pixel_unshuffle(feat, factor)
-            elif mode == "shuffle":
-                feat = T.pixel_shuffle(feat, factor)
-            planes.append(adapt(feat))
+        planes = [
+            adapt(resize_to(feat, self.grid, self.grid))
+            for feat, adapt in zip(feats, self.adapt)
+        ]
         stack = T.concat(planes, 0)
         cells = self.grid * self.grid
         tokens = T.transpose2d(T.reshape(stack, (stack.shape[0], cells)))
@@ -269,20 +258,20 @@ class TrimapHead(Module):
 class SaliencyDecoder(Module):
     """Bottom-up hierarchical decoding with global and uncertainty guidance.
 
-    For i = 4..1: D_i = cross_scale(F_i, F_{i+1}); D_i += D_i * resize(G);
+    G = global_head(F_1..F_4), with every level resized to the grid. For
+    i = 4..1: D_i = cross_scale(F_i, F_{i+1}); D_i += D_i * resize(G);
     D_i *= 1 + resize(deeper uncertainty); (P_i, T_i) = head(D_i). The
-    deepest level has no deeper neighbour and skips both borrowings.
+    deepest level has no deeper neighbour and skips both borrowings. No
+    module's shape depends on the level sizes.
     """
 
-    def __init__(self, rng, level_sizes, config: DecoderConfig):
+    def __init__(self, rng, config: DecoderConfig):
         w = BRANCH_WIDTHS
         self.merge = [
             CrossScaleFusion(rng, w[i], w[i + 1] if i < 3 else None)
             for i in range(4)
         ]
-        self.global_head = GlobalSaliencyHead(
-            rng, level_sizes, config.grid, config.attention_width
-        )
+        self.global_head = GlobalSaliencyHead(rng, config.grid, config.attention_width)
         self.heads = [TrimapHead(rng, width) for width in w]
 
     def __call__(self, feats):

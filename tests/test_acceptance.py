@@ -191,7 +191,7 @@ def test_seeded_training_run_halves_loss_and_matches_reference(seeded_demo_run, 
     assert run.reports[-1].total < 0.5 * run.reports[0].total
 
     reference = json.loads((REFERENCE_DIR / "training_demo.json").read_text())
-    assert reference_tool.training_demo_trajectory(run.reports) == reference
+    assert reference_tool.training_demo_trajectory(run) == reference
     assert seconds < 300.0
 
 

@@ -709,11 +709,14 @@ _FITTING = {"encoder": {"bands": 8, "heads": 1, "blocks": 1}, "stem_stride": 1, 
         ("train", [], {**_FITTING, "decoder": {"attention_width": 1025}}),
         ("infer", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 65}}),
         ("train", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 2**40}}),
+        ("infer", [], {**_FITTING, "decoder": {"grid": 512}, "input_size": 512}),
+        ("train", [], {**_FITTING, "decoder": {"grid": 64}, "input_size": 64}),
         ("stats", ["--grid", "0"], None),
         ("stats", ["--grid", "10000000000"], None),
     ],
     ids=["infer-config-size", "train-config-size", "infer-attention-width",
          "train-attention-width", "infer-encoder-blocks", "train-encoder-blocks",
+         "infer-decoder-grid", "train-decoder-grid",
          "stats-grid-zero", "stats-grid-huge"],
 )
 def test_oversized_or_invalid_settings_exit_two_writing_nothing(command, flags, model, tmp_path, workspace, capsys):

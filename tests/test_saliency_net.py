@@ -154,12 +154,7 @@ def test_block_ground_truth_extremes_and_errors():
 
 
 def _tiny_head(seed=18):
-    return GlobalSaliencyHead(
-        np.random.default_rng(seed),
-        level_sizes=(8, 4, 2, 1),
-        grid=2,
-        attention_width=16,
-    )
+    return GlobalSaliencyHead(np.random.default_rng(seed), grid=2, attention_width=16)
 
 
 def _tiny_pyramid(seed=19):
@@ -243,12 +238,19 @@ def test_model_config_validation():
         ModelConfig(stem_stride=0)
     with pytest.raises(ConfigError, match="no integer factor"):
         ModelConfig(decoder=DecoderConfig(grid=3), stem_stride=1, input_size=8)
-    with pytest.raises(ConfigError, match="cannot shuffle the 32 channels"):
-        ModelConfig(  # tiny config at grid 16: level 2 would need 64 | 32 channels
+    with pytest.raises(ConfigError, match="grid 16 exceeds the finest level size 8"):
+        ModelConfig(  # tiny config at grid 16: no level is as fine as the grid
             encoder=EncoderConfig(bands=8, heads=1, blocks=1),
             decoder=DecoderConfig(grid=16, attention_width=16),
             stem_stride=1,
             input_size=8,
+        )
+    with pytest.raises(ConfigError, match="grid must be at most 32, got 64"):
+        ModelConfig(  # levels 64/32/16/8 admit grid 64 by the factor rules alone
+            encoder=EncoderConfig(bands=8, heads=1, blocks=1),
+            decoder=DecoderConfig(grid=64, attention_width=16),
+            stem_stride=1,
+            input_size=64,
         )
     assert ModelConfig(stem_stride=1, input_size=8).cube_shape == (32, 8, 8)
     assert tiny_model_config().level_sizes() == [8, 4, 2, 1]
@@ -259,7 +261,7 @@ def test_every_model_config_that_constructs_builds():
     """ModelConfig is the only build check: no module below it refuses a config."""
     encoder = EncoderConfig(bands=8, heads=1, blocks=1)
     built = 0
-    for input_size, grid in itertools.product((8, 16), range(1, 17)):
+    for input_size, grid in itertools.product((8, 16), range(1, 65)):
         try:
             config = ModelConfig(encoder, DecoderConfig(grid, 8), 1, input_size)
         except ConfigError:
@@ -267,6 +269,16 @@ def test_every_model_config_that_constructs_builds():
         SaliencyModel(None, config)
         built += 1
     assert built == 9  # grids 1, 2, 4, 8 at both sizes, and 16 at size 16
+
+
+def test_model_size_does_not_depend_on_input_size():
+    """Every level is resized to the grid, so no kernel grows with the cube."""
+
+    def scalars(config):
+        return sum(p.data.size for p in SaliencyModel(None, config).parameters_by_name.values())
+
+    assert {scalars(demo_model_config(input_size=s)) for s in (32, 64, 128)} == {279_329}
+    assert {scalars(default_model_config(input_size=s)) for s in (64, 128)} == {288_903}
 
 
 def test_model_forward_contract_and_determinism():

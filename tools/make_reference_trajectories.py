@@ -3,8 +3,9 @@
 This tool is the one definition of those runs: the test suite loads it by
 file path (tests/conftest.py), runs each once per session and compares the
 result with these files bit-exactly, so any change to initialization order,
-optimizer math, or the loss graph shows up as a diff here. Floats are stored
-as hex strings to survive JSON round trips without rounding.
+optimizer math, the loss graph or the demo model's size shows up as a diff
+here. Floats are stored as hex strings to survive JSON round trips without
+rounding.
 
 Before overwriting a committed file, the tool prints the largest relative
 drift of each column from it, so a deliberate numeric change can report how
@@ -52,12 +53,14 @@ def training_demo_run() -> TrainingDemoRun:
     return TrainingDemoRun(cube.data, mask, model, reports)
 
 
-def training_demo_trajectory(reports) -> dict:
-    """The committed form of a training demo run's loss reports."""
+def training_demo_trajectory(run: TrainingDemoRun) -> dict:
+    """The committed form of a training demo run: its model size and loss reports."""
+    reports = run.reports
     return {
         "scene": "training-demo",
         "scene_seed": 0,
         "model_seed": 0,
+        "parameter_scalars": sum(p.data.size for p in run.model.parameters_by_name.values()),
         "steps": len(reports),
         "columns": {
             "L_s": [r.reconstruction.hex() for r in reports],
@@ -105,7 +108,7 @@ def largest_drift(old: dict, new: dict) -> dict:
 def main() -> None:
     REFERENCE_DIR.mkdir(parents=True, exist_ok=True)
     for name, build in (
-        ("training_demo", lambda: training_demo_trajectory(training_demo_run().reports)),
+        ("training_demo", lambda: training_demo_trajectory(training_demo_run())),
         ("reconstruction_demo", reconstruction_demo_trajectory),
     ):
         doc = build()
