@@ -3,8 +3,8 @@
 The model hands a raw reflectance cube (bands, H, W) as a plain array to the
 spectral encoder, which groups the bands itself, and runs the taped network
 from there. It returns every supervised quantity: the full-resolution
-saliency map, per-level maps and three-way labelings, the coarse global grid,
-and the reconstructed cube.
+saliency map, the four per-level maps, the three-way labelings of the three
+coarser levels, the coarse global grid, and the reconstructed cube.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class ModelOutput:
     restored: Tensor  # (bands, H, W) reconstruction of the raw cube
     block_saliency: Tensor  # (1, g, g) coarse global grid in (0,1)
     level_predictions: list  # four (1, h_i, w_i) sigmoid maps, fine to coarse
-    trimaps: list  # four (3, h_i, w_i) per-pixel distributions
+    trimaps: list  # three (3, h_i, w_i) per-pixel distributions, for level_predictions[1:]
 
     def saliency_map(self) -> np.ndarray:
         """Plain (H, W) float array of the final saliency values."""

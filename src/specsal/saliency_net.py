@@ -6,8 +6,10 @@ never downsampled after creation. The decoder then walks the pyramid bottom-up:
 each level splits its channels into a context half (wide factorized convs) and
 a detail half (joined with the next-deeper level), gets modulated by a coarse
 global saliency grid from a small token-attention head, borrows the deeper
-level's uncertainty band, and emits a sigmoid saliency map plus a three-way
-background/object/uncertain soft labeling per pixel.
+level's uncertainty band, and emits a sigmoid saliency map. Each level but the
+finest also emits a three-way background/object/uncertain soft labeling per
+pixel, whose uncertain channel the next finer level borrows; the finest level
+has no finer neighbour, so it emits the saliency map alone.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def resize_to(x, height: int, width: int) -> Tensor:
 
 # Channels of the four branches, finest first; even, so the decoder can halve them.
 BRANCH_WIDTHS = (8, 16, 32, 64)
+UNCERTAIN = 2  # a labeling's channels: 0 background, 1 object, 2 uncertain
 
 
 class CrossResolutionFusion(Module):
@@ -235,34 +238,17 @@ class GlobalSaliencyHead(Module):
         return T.reshape(T.transpose2d(scores), (1, self.grid, self.grid))
 
 
-class TrimapHead(Module):
-    """Per-level saliency sigmoid and three-way soft labeling (norm-free).
-
-    The labeling conv sees the decoded feature re-weighted by its own
-    saliency (d * p + d), and its softmax runs over the three channels:
-    0 background, 1 object, 2 uncertain.
-    """
-
-    UNCERTAIN = 2
-
-    def __init__(self, rng, channels):
-        self.score = Conv2d(rng, channels, 1, 3)
-        self.classify = Conv2d(rng, channels, 3, 3)
-
-    def __call__(self, d):
-        p = T.sigmoid(self.score(d))
-        t = T.softmax(self.classify(T.add(T.mul(d, p), d)), axis=0)
-        return p, t
-
-
 class SaliencyDecoder(Module):
     """Bottom-up hierarchical decoding with global and uncertainty guidance.
 
     G = global_head(F_1..F_4), with every level resized to the grid. For
     i = 4..1: D_i = cross_scale(F_i, F_{i+1}); D_i += D_i * resize(G);
-    D_i *= 1 + resize(deeper uncertainty); (P_i, T_i) = head(D_i). The
-    deepest level has no deeper neighbour and skips both borrowings. No
-    module's shape depends on the level sizes.
+    D_i *= 1 + resize(U_{i+1}); P_i = sigmoid(score_i(D_i)). For i > 1 also
+    T_i = softmax(classify_i(D_i * P_i + D_i)) over background, object and
+    uncertain (norm-free), and U_i is T_i's uncertain channel. The deepest
+    level has no deeper neighbour and skips both borrowings; the finest has no
+    finer neighbour to hand U_1 to, so it has no classify conv. No module's
+    shape depends on the level sizes.
     """
 
     def __init__(self, rng, config: DecoderConfig):
@@ -272,21 +258,23 @@ class SaliencyDecoder(Module):
             for i in range(4)
         ]
         self.global_head = GlobalSaliencyHead(rng, config.grid, config.attention_width)
-        self.heads = [TrimapHead(rng, width) for width in w]
+        self.score = [Conv2d(rng, width, 1, 3) for width in w]
+        self.classify = [Conv2d(rng, width, 3, 3) for width in w[1:]]  # [i - 1] labels score[i]'s level
 
     def __call__(self, feats):
         block_map = self.global_head(feats)
         predictions = [None] * 4
-        trimaps = [None] * 4
-        deeper_trimap = None
+        trimaps = [None] * 3
+        uncertain = None
         for i in (3, 2, 1, 0):
             deeper = feats[i + 1] if i < 3 else None
             d = self.merge[i](feats[i], deeper)
             _, h, w = d.shape
             d = T.add(d, T.mul(d, resize_to(block_map, h, w)))
-            if deeper_trimap is not None:
-                uncertain = T.narrow(deeper_trimap, 0, TrimapHead.UNCERTAIN, 1)
+            if uncertain is not None:
                 d = T.mul(d, T.add(1.0, resize_to(uncertain, h, w)))
-            predictions[i], trimaps[i] = self.heads[i](d)
-            deeper_trimap = trimaps[i]
+            p = predictions[i] = T.sigmoid(self.score[i](d))
+            if i:
+                trimaps[i - 1] = T.softmax(self.classify[i - 1](T.add(T.mul(d, p), d)), axis=0)
+                uncertain = T.narrow(trimaps[i - 1], 0, UNCERTAIN, 1)
         return block_map, predictions, trimaps

@@ -114,7 +114,7 @@ def backprop(named_parameters, build, context: str):
         found = first_non_finite(build)
         where = "every op output is finite" if found is None else (
             f"first non-finite tensor came from op '{found[1]}' "
-            f"(tape record {found[0]}, shape {found[2].shape})")
+            f"(op {found[0] + 1} of the forward pass, shape {found[2].shape})")
         raise NumericError(f"loss is {loss.item()} at {context}; {where}")
     for store in stores:
         store.grad = np.zeros_like(store.data)

@@ -139,12 +139,12 @@ def test_structural_invariants_suite(tmp_path):
         assert (probs > 0.0).all()
         np.testing.assert_allclose(probs.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
 
-    # trimap heads emit distributions at every decoder level
+    # every decoder level but the finest emits a labeling distribution
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(3), config)
     cube = rng.random((config.encoder.bands, config.input_size, config.input_size))
     output = model(cube)
-    assert len(output.trimaps) == 4
+    assert len(output.trimaps) == 3
     for trimap in output.trimaps:
         values = trimap.data
         assert values.shape[0] == 3

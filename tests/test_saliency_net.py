@@ -20,7 +20,6 @@ from specsal.saliency_net import (
     DecoderConfig,
     GlobalSaliencyHead,
     HighResBackbone,
-    TrimapHead,
     block_ground_truth,
     resize_to,
 )
@@ -192,14 +191,16 @@ def test_global_head_attention_is_token_permutation_equivariant():
 
 
 def test_trimap_head_distributions():
-    head = TrimapHead(np.random.default_rng(23), 8)
-    d = Tensor(np.random.default_rng(24).standard_normal((8, 6, 6)))
-    p, t = head(d)
-    assert p.shape == (1, 6, 6) and t.shape == (3, 6, 6)
-    assert (p.data > 0).all() and (p.data < 1).all()
-    assert (t.data >= 0).all()
-    np.testing.assert_allclose(t.data.sum(axis=0), np.ones((6, 6)), atol=1e-12)
-    assert set(np.unique(t.data.argmax(axis=0))) <= {0, 1, 2}
+    # every level but the finest labels its pixels; the finest has only its map
+    model = SaliencyModel(np.random.default_rng(23), tiny_model_config())
+    out = model(np.random.default_rng(24).uniform(0, 1, (8, 8, 8)))
+    assert len(out.trimaps) == len(out.level_predictions) - 1
+    for p, t in zip(out.level_predictions[1:], out.trimaps):
+        assert p.shape[0] == 1 and t.shape == (3, *p.shape[1:])
+        assert (p.data > 0).all() and (p.data < 1).all()
+        assert (t.data >= 0).all()
+        np.testing.assert_allclose(t.data.sum(axis=0), np.ones(p.shape[1:]), atol=1e-12)
+        assert set(np.unique(t.data.argmax(axis=0))) <= {0, 1, 2}
 
 
 def test_global_head_rejects_incompatible_grid():
@@ -277,8 +278,8 @@ def test_model_size_does_not_depend_on_input_size():
     def scalars(config):
         return sum(p.data.size for p in SaliencyModel(None, config).parameters_by_name.values())
 
-    assert {scalars(demo_model_config(input_size=s)) for s in (32, 64, 128)} == {279_329}
-    assert {scalars(default_model_config(input_size=s)) for s in (64, 128)} == {288_903}
+    assert {scalars(demo_model_config(input_size=s)) for s in (32, 64, 128)} == {279_110}
+    assert {scalars(default_model_config(input_size=s)) for s in (64, 128)} == {288_684}
 
 
 def test_model_forward_contract_and_determinism():
@@ -292,9 +293,7 @@ def test_model_forward_contract_and_determinism():
     assert [p.shape for p in a.level_predictions] == [
         (1, 8, 8), (1, 4, 4), (1, 2, 2), (1, 1, 1)
     ]
-    assert [t.shape for t in a.trimaps] == [
-        (3, 8, 8), (3, 4, 4), (3, 2, 2), (3, 1, 1)
-    ]
+    assert [t.shape for t in a.trimaps] == [(3, 4, 4), (3, 2, 2), (3, 1, 1)]
     assert (a.saliency.data > 0).all() and (a.saliency.data < 1).all()
     np.testing.assert_array_equal(a.saliency.data, b.saliency.data)
     np.testing.assert_array_equal(a.restored.data, b.restored.data)

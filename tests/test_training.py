@@ -11,7 +11,7 @@ from specsal import tensor as T
 from specsal.checkpoint import apply_state
 from specsal.exceptions import ConfigError, NumericError
 from specsal.losses import compute_losses
-from specsal.model import SaliencyModel, demo_model_config, tiny_model_config
+from specsal.model import SaliencyModel, default_model_config, demo_model_config, tiny_model_config
 from specsal.nn import Linear, Module
 from specsal.scenes import synth_scene, training_demo_scene_spec
 from specsal.spectral_attention import SpectralEncoder
@@ -19,6 +19,7 @@ from specsal.tensor import Parameter, Store, Tensor
 from specsal.training import (
     AdamOptimizer,
     TrainConfig,
+    backprop,
     failing_groups,
     fit_reconstruction,
     grad_check_suite,
@@ -174,7 +175,7 @@ def test_fit_reconstruction_aborts_on_non_finite_loss_with_op_name():
     encoder = SpectralEncoder(np.random.default_rng(0), tiny_model_config().encoder)
     encoder.parameters()[0].data.flat[0] = np.nan
     with pytest.raises(NumericError, match=r"loss is nan at reconstruction step 1; first "
-                       r"non-finite tensor came from op '\w+' \(tape record \d+, shape"):
+                       r"non-finite tensor came from op '\w+' \(op \d+ of the forward pass, shape"):
         fit_reconstruction(encoder, cube, steps=2)
 
 
@@ -197,10 +198,27 @@ def test_backward_returns_no_gradient_for_constant_operands():
 
     tape._records = [(out, inputs, checked(inputs, back)) for out, inputs, back in tape._records]
     tape.backward(total)
-    # every record but the few of the finest ternary head, which reaches no loss
+    # at least 99 % of the kept records are replayed: a record that backward
+    # never reaches, such as one of a conv that feeds no loss, is kept unreplayed
     assert 0.99 * recorded < len(replayed) <= recorded
     assert all(constant == dropped for constant, dropped in replayed)
     assert sum(sum(constant) for constant, _ in replayed) > 0  # constants do occur
+
+
+@pytest.mark.parametrize("config", [demo_model_config, default_model_config])
+def test_every_parameter_reaches_the_loss(config):
+    # one seeded step of a fresh model gives every parameter a nonzero
+    # gradient somewhere; the tiny config is left out, because its 1x1
+    # deepest level standardizes to exactly 0 and zeroes parameters by design
+    config = config()
+    bands, height, width = config.cube_shape
+    cube, mask = synth_scene(training_demo_scene_spec(height, width, bands), 4)
+    model = SaliencyModel(np.random.default_rng(2), config)
+    backprop(model.parameters_by_name.items(),
+             lambda: compute_losses(model(cube.data), cube.data, mask.astype(float))[0],
+             "the liveness step")
+    dead = [name for name, p in model.parameters_by_name.items() if not p.grad.any()]
+    assert not dead, f"parameters with an all-zero gradient: {dead}"
 
 
 def test_no_reshape_in_a_demo_step_takes_a_parameter():
@@ -307,7 +325,7 @@ def test_frozen_attention_scalars_train_worse_than_free(seeded_demo_run):
     for _ in range(100):
         report = train_step(model, run.cube, run.mask, optimizer)
     assert run.reports[-1].total < report.total
-    assert report.total == float.fromhex("0x1.62be467216c9dp+0")
+    assert report.total == float.fromhex("0x1.624351458572ep+0")
 
 
 def _spearman(a, b):
@@ -329,11 +347,12 @@ def _spearman(a, b):
 
 
 @pytest.mark.xfail(
-    reason="nothing in the loss supervises the ternary maps, so the uncertain "
-    "channel's meaning is emergent; after the seeded demo training run the "
-    "correlation is reliably positive only at the deepest level and reliably "
-    "negative at the middle levels (stable across 24 seed pairs and 6x longer "
-    "training)",
+    reason="nothing in the loss supervises the ternary maps of levels 1-3, so "
+    "the uncertain channel's meaning is emergent; after the seeded demo training "
+    "run the correlation is positive only at the deepest level and negative at "
+    "the two middle levels (-0.38, -0.27, +0.59 at levels 1, 2, 3; the same "
+    "signs held across 24 seed pairs and 6x longer training while the finest "
+    "level still had a labeling)",
     strict=True,
 )
 def test_trained_uncertainty_tracks_prediction_ambiguity(seeded_demo_run):
@@ -341,7 +360,7 @@ def test_trained_uncertainty_tracks_prediction_ambiguity(seeded_demo_run):
     # carry more ternary-map uncertain mass, at every decoder level
     run, _ = seeded_demo_run
     output = run.model(run.cube)
-    for prediction, trimap in zip(output.level_predictions, output.trimaps):
+    for prediction, trimap in zip(output.level_predictions[1:], output.trimaps):
         closeness = (0.5 - np.abs(prediction.data[0] - 0.5)).ravel()
         uncertain_mass = trimap.data[2].ravel()
         assert _spearman(closeness, uncertain_mass) >= 0.0

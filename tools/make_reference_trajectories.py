@@ -8,8 +8,9 @@ here. Floats are stored as hex strings to survive JSON round trips without
 rounding.
 
 Before overwriting a committed file, the tool prints the largest relative
-drift of each column from it, so a deliberate numeric change can report how
-far the trajectories moved.
+drift of each column from it, and the old and new parameter count when that
+changed, so a deliberate numeric or structural change can report how far the
+trajectories moved and how the model's size changed.
 
 Run from the repository root:
 
@@ -114,11 +115,15 @@ def main() -> None:
         doc = build()
         path = REFERENCE_DIR / f"{name}.json"
         if path.exists():
-            drift = largest_drift(json.loads(path.read_text()), doc)
+            old = json.loads(path.read_text())
+            drift = largest_drift(old, doc)
             cells = ", ".join(
                 f"{column} {'length changed' if value is None else f'{value:.3g}'}"
                 for column, value in drift.items()
             )
+            size = (old.get("parameter_scalars"), doc.get("parameter_scalars"))
+            if size[0] != size[1]:
+                cells += f"; parameter_scalars {size[0]} -> {size[1]}"
             print(f"{name}: largest relative drift from the committed file: {cells}")
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
