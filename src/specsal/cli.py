@@ -125,7 +125,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_infer(args) -> int:
     config = model_config_from_dict(load_json_document(f"{args.checkpoint}.json"))
     cube = read_cube(args.cube)
-    config.check_cube(cube.data.shape)  # before building a model of that size
+    config.check_cube(cube.data.shape)  # before any model is built
     model = SaliencyModel(None, config)  # every weight comes from the checkpoint
     apply_state(model, load_checkpoint(args.checkpoint))
     saliency = model(cube.data).saliency_map()
@@ -161,13 +161,12 @@ def _cmd_train(args) -> int:
     config = TrainConfig(args.seed, args.steps, args.learning_rate)
     manifest = load_manifest(args.manifest)
     examples = _load_examples(manifest, args.manifest, args.split)
-    first = examples[0][1]
     model_config = (
         model_config_from_dict(load_json_document(args.model_config))
         if args.model_config
-        else demo_model_config(bands=first.bands, input_size=first.height)
+        else demo_model_config(bands=examples[0][1].bands)
     )
-    for entry, cube, _ in examples:  # before building a model of that size
+    for entry, cube, _ in examples:  # every cube, before any model is built
         try:
             model_config.check_cube(cube.data.shape)
         except ShapeError as err:

@@ -25,50 +25,49 @@ class ModelConfig:
     """The settings a caller varies; the branch layout is fixed structure.
 
     ``stem_stride`` is the backbone stem's stride; the saliency map is
-    upsampled by it back to ``input_size``. A config that constructs here
-    builds a model: this is the only place that checks.
+    upsampled by it back to the cube's size. No setting depends on that
+    size, so every config that constructs builds a model, and the one model
+    runs on every cube that ``check_cube`` admits.
     """
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     stem_stride: int = 2
-    input_size: int = 64
 
     def __post_init__(self):
         if self.stem_stride < 1:
             raise ConfigError(f"stem stride must be >= 1, got {self.stem_stride}")
+
+    def check_cube(self, shape) -> None:
+        """The one gate on a cube's shape: (encoder.bands, N, N), where N is a
+        positive multiple of 8 * stem_stride and every level size admits the grid."""
+        if len(shape) != 3:
+            raise ShapeError(f"model expects a (bands, H, W) cube, got shape {tuple(shape)}")
+        bands, height, width = shape
+        if bands != self.encoder.bands:
+            raise ShapeError(f"model expects {self.encoder.bands} bands, got {bands}")
+        if height != width:
+            raise ShapeError(f"model expects a square cube, got {height}x{width}")
         need = 8 * self.stem_stride
-        if self.input_size < need or self.input_size % need:
-            raise ConfigError(
-                f"input size {self.input_size} must be a positive multiple of {need}"
-            )
-        grid, sizes = self.decoder.grid, self.level_sizes()
+        if height < need or height % need:
+            raise ShapeError(f"cube size {height} must be a positive multiple of {need}")
+        grid, sizes = self.decoder.grid, self.level_sizes(height)
         if grid > sizes[0]:
-            raise ConfigError(
-                f"decoder grid {grid} exceeds the finest level size {sizes[0]}"
-            )
+            raise ShapeError(f"decoder grid {grid} exceeds the finest level size {sizes[0]}")
         for size in sizes:
             if size % grid and grid % size:
-                raise ConfigError(
+                raise ShapeError(
                     f"decoder grid {grid} shares no integer factor with level size {size}"
                 )
 
-    @property
-    def cube_shape(self) -> tuple:
-        """The (bands, H, W) raw cube the model consumes."""
-        return (self.encoder.bands, self.input_size, self.input_size)
-
-    def check_cube(self, shape) -> None:
-        if tuple(shape) != self.cube_shape:
-            raise ShapeError(f"model expects a {self.cube_shape} cube, got {tuple(shape)}")
-
-    def level_sizes(self) -> list:
-        base = self.input_size // self.stem_stride
+    def level_sizes(self, size: int) -> list:
+        """Side of each backbone level, fine to coarse, for a size x size cube."""
+        base = size // self.stem_stride
         return [base // (1 << i) for i in range(4)]
 
 
 def tiny_model_config() -> ModelConfig:
-    """Smallest constructible model, used by gradient checks: 8x8x8 input.
+    """Smallest model, used by gradient checks on its smallest cube, 8x8x8.
 
     A single attention head keeps the per-head temperature live (two heads on
     two grouped bands would give constant 1x1 softmaxes with zero gradient).
@@ -77,22 +76,20 @@ def tiny_model_config() -> ModelConfig:
         encoder=EncoderConfig(bands=8, heads=1, blocks=1),
         decoder=DecoderConfig(grid=2, attention_width=16),
         stem_stride=1,
-        input_size=8,
     )
 
 
-def demo_model_config(bands: int = 8, input_size: int = 32) -> ModelConfig:
-    """Desk-scale model for the seeded training demonstrations (32x32x8)."""
+def demo_model_config(bands: int = 8) -> ModelConfig:
+    """Desk-scale model for the seeded training demonstrations (8x32x32 cubes)."""
     return ModelConfig(
         encoder=EncoderConfig(bands=bands, heads=1, blocks=1),
         decoder=DecoderConfig(grid=4, attention_width=16),
         stem_stride=1,
-        input_size=input_size,
     )
 
 
-def default_model_config(bands: int = 32, input_size: int = 64) -> ModelConfig:
-    return ModelConfig(encoder=EncoderConfig(bands=bands), input_size=input_size)
+def default_model_config(bands: int = 32) -> ModelConfig:
+    return ModelConfig(encoder=EncoderConfig(bands=bands))
 
 
 @dataclass
@@ -127,10 +124,10 @@ class SaliencyModel(Module):
         Store.pack(self.parameters_by_name.values())
 
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
-        self.config.check_cube(np.shape(cube_values))
+        shape = np.shape(cube_values)
+        self.config.check_cube(shape)
         features, restored = self.encoder(cube_values)
         pyramid = self.backbone(features)
         block_map, predictions, trimaps = self.decoder(pyramid)
-        size = self.config.input_size
-        saliency = resize_to(predictions[0], size, size)
+        saliency = resize_to(predictions[0], shape[1], shape[2])
         return ModelOutput(saliency, restored, block_map, predictions, trimaps)

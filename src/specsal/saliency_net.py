@@ -192,7 +192,7 @@ class GlobalSaliencyHead(Module):
     """Coarse saliency grid from all four levels via token self-attention.
 
     Every level is resized to grid x grid as pyramid pooling does (average
-    down when finer, nearest up when coarser; ``ModelConfig`` admits only grids
+    down when finer, nearest up when coarser; ``check_cube`` admits only grids
     with an integer factor to every level), adapted by a width-preserving 3x3
     conv + norm + relu, and flattened to g^2 tokens, so the head's size does
     not depend on the input's. Tokens are projected to the attention width,

@@ -223,8 +223,9 @@ def tiny_model_audit(seed: int):
     model = SaliencyModel(np.random.default_rng(seed), config)
     jitter_parameters(model.parameters(), seed=seed)
     rng = np.random.default_rng(seed + 1)
-    cube = rng.random((config.encoder.bands, config.input_size, config.input_size))
-    mask = (rng.random((config.input_size, config.input_size)) > 0.6).astype(np.float64)
+    size = 8 * config.stem_stride  # the smallest cube the tiny config admits
+    cube = rng.random((config.encoder.bands, size, size))
+    mask = (rng.random((size, size)) > 0.6).astype(np.float64)
     return model, lambda: compute_losses(model(cube), cube, mask)[0]
 
 

@@ -142,7 +142,7 @@ def test_structural_invariants_suite(tmp_path):
     # every decoder level but the finest emits a labeling distribution
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(3), config)
-    cube = rng.random((config.encoder.bands, config.input_size, config.input_size))
+    cube = rng.random((config.encoder.bands, 8, 8))
     output = model(cube)
     assert len(output.trimaps) == 3
     for trimap in output.trimaps:

@@ -16,7 +16,7 @@ from specsal.checkpoint import CHECKPOINT_MAGIC, apply_state, load_checkpoint, s
 from specsal.cli import main
 from specsal.configio import model_config_from_dict
 from specsal.cube import HsiCube, calibrate, pseudo_color, read_cube, write_cube
-from specsal.imageio import read_float_map, read_pgm, write_float_map
+from specsal.imageio import read_float_map, read_pgm, write_float_map, write_pgm
 from specsal.masks import read_mask, write_mask
 from specsal.metrics import evaluate_pair
 from specsal.model import SaliencyModel, demo_model_config
@@ -192,7 +192,7 @@ def test_train_writes_checkpoint_sidecar_and_log(workspace):
         assert set(record) == {"step", "L_s", "L_sod", "L_g", "L_m"}
         assert record["step"] == i + 1
     sidecar = json.loads((workspace / "model.ckpt.json").read_text())
-    assert model_config_from_dict(sidecar) == demo_model_config(bands=8, input_size=32)
+    assert model_config_from_dict(sidecar) == demo_model_config(bands=8)
     assert (workspace / "model.ckpt").stat().st_size > 0
 
 
@@ -416,6 +416,50 @@ def test_train_cube_that_does_not_fit_the_model_exits_two(widths, tmp_path, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: entry s{len(widths) - 1}: ")
     assert not out.exists()
+
+
+def test_train_on_cubes_of_two_sizes_then_infer_the_larger(tmp_path, capsys):
+    # no config field fixes the size, so one model trains on 32x32 and 64x64
+    entries = []
+    for i, size in enumerate((32, 64)):
+        cube, mask = synth_scene(training_demo_scene_spec(size, size), seed=i)
+        write_cube(cube, tmp_path / f"s{i}.hsv2")
+        write_mask(mask, tmp_path / f"s{i}.pgm")
+        entries.append({"id": f"s{i}", "cube": f"s{i}.hsv2", "mask": f"s{i}.pgm", "split": "train"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": entries}))
+    checkpoint, out, float_out = tmp_path / "m.ckpt", tmp_path / "p.pgm", tmp_path / "p.f32"
+    assert main([
+        "train", "--manifest", str(path), "--steps", "2",
+        "--out", str(checkpoint), "--log", str(tmp_path / "m.jsonl"),
+    ]) == 0
+    assert main([
+        "infer", "--cube", str(tmp_path / "s1.hsv2"), "--checkpoint", str(checkpoint),
+        "--out", str(out), "--float-out", str(float_out),
+    ]) == 0
+    model = SaliencyModel(None, demo_model_config())
+    apply_state(model, load_checkpoint(checkpoint))
+    expected = model(read_cube(tmp_path / "s1.hsv2").data).saliency_map()
+    assert expected.shape == (64, 64)
+    write_pgm(np.round(255.0 * expected).astype(np.uint8), tmp_path / "library.pgm")
+    write_float_map(expected, tmp_path / "library.f32")
+    assert out.read_bytes() == (tmp_path / "library.pgm").read_bytes()
+    assert float_out.read_bytes() == (tmp_path / "library.f32").read_bytes()
+
+
+def test_infer_cube_whose_levels_do_not_fit_the_grid_exits_two(tmp_path, workspace, capsys):
+    # the demo checkpoint's grid 4 has no integer factor with level size 6 of 24x24
+    cube, _ = synth_scene(training_demo_scene_spec(24, 24), seed=0)
+    write_cube(cube, tmp_path / "odd.hsv2")
+    out = tmp_path / "out"
+    assert main([
+        "infer", "--cube", str(tmp_path / "odd.hsv2"),
+        "--checkpoint", str(workspace / "model.ckpt"),
+        "--out", str(out / "p.pgm"), "--float-out", str(out / "p.f32"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: decoder grid 4 shares no integer factor with level size 6\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_train_derived_model_with_too_many_bands_exits_two(tmp_path, capsys):
@@ -697,20 +741,21 @@ def test_negative_seed_or_empty_audit_exits_two_before_any_work(command, flags, 
 
 
 # a model config that fits the workspace's 8x32x32 cubes
-_FITTING = {"encoder": {"bands": 8, "heads": 1, "blocks": 1}, "stem_stride": 1, "input_size": 32}
+_FITTING = {"encoder": {"bands": 8, "heads": 1, "blocks": 1}, "stem_stride": 1}
 
 
 @pytest.mark.parametrize(
     "command, flags, model",
     [
-        ("infer", [], {"encoder": {"bands": 8}, "input_size": 2**40}),
-        ("train", [], {"encoder": {"bands": 8}, "input_size": 2**40}),
+        # constructs, but check_cube refuses the 32x32 cube before a model is built
+        ("infer", [], {"encoder": {"bands": 8}, "stem_stride": 2**40}),
+        ("train", [], {"encoder": {"bands": 8}, "stem_stride": 2**40}),
         ("infer", [], {**_FITTING, "decoder": {"attention_width": 2**40}}),
         ("train", [], {**_FITTING, "decoder": {"attention_width": 1025}}),
         ("infer", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 65}}),
         ("train", [], {**_FITTING, "encoder": {"bands": 8, "heads": 1, "blocks": 2**40}}),
-        ("infer", [], {**_FITTING, "decoder": {"grid": 512}, "input_size": 512}),
-        ("train", [], {**_FITTING, "decoder": {"grid": 64}, "input_size": 64}),
+        ("infer", [], {**_FITTING, "decoder": {"grid": 512}}),
+        ("train", [], {**_FITTING, "decoder": {"grid": 64}}),
         ("stats", ["--grid", "0"], None),
         ("stats", ["--grid", "10000000000"], None),
     ],

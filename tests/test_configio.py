@@ -17,14 +17,14 @@ def test_model_config_round_trip(config):
 
 
 def test_model_config_partial_documents_use_defaults():
-    config = model_config_from_dict({"input_size": 128})
-    assert config.input_size == 128
+    config = model_config_from_dict({"stem_stride": 1})
+    assert config.stem_stride == 1
     assert config.encoder == default_model_config().encoder
 
 
 def test_model_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown keys"):
-        model_config_from_dict({"input_sze": 64})
+        model_config_from_dict({"stem_strid": 1})
     with pytest.raises(ConfigError, match="encoder"):
         model_config_from_dict({"encoder": {"band": 8}})
     # a demo sidecar written while the branch layout and band group were settable
@@ -35,11 +35,21 @@ def test_model_config_rejects_unknown_keys():
         "encoder": {"band_group": 4, "bands": 8, "blocks": 1, "heads": 1},
         "input_size": 32,
     }
-    with pytest.raises(ConfigError, match=r"unknown keys \['backbone'\]"):
+    with pytest.raises(ConfigError, match=r"unknown keys \['backbone', 'input_size'\]"):
         model_config_from_dict(old_sidecar)
     del old_sidecar["backbone"]
+    with pytest.raises(ConfigError, match=r"model config: unknown keys \['input_size'\]"):
+        model_config_from_dict(old_sidecar)
+    del old_sidecar["input_size"]
     with pytest.raises(ConfigError, match=r"model config.encoder: unknown keys \['band_group'\]"):
         model_config_from_dict(old_sidecar)
+    # a demo sidecar written while the config fixed the cube's size: no shim
+    # takes the key, and without it the sidecar decodes to the demo config
+    sized_sidecar = dict(model_config_to_dict(demo_model_config()), input_size=32)
+    with pytest.raises(ConfigError, match=r"model config: unknown keys \['input_size'\]"):
+        model_config_from_dict(sized_sidecar)
+    del sized_sidecar["input_size"]
+    assert model_config_from_dict(sized_sidecar) == demo_model_config()
 
 
 def test_model_config_rejects_wrong_shapes():
@@ -50,8 +60,10 @@ def test_model_config_rejects_wrong_shapes():
 
 
 def test_model_config_values_still_validated():
-    with pytest.raises(ConfigError, match="input size"):
-        model_config_from_dict({"input_size": 7})
+    with pytest.raises(ConfigError, match="stem stride must be >= 1, got 0"):
+        model_config_from_dict({"stem_stride": 0})
+    with pytest.raises(ConfigError, match="grid must be at most 32, got 64"):
+        model_config_from_dict({"decoder": {"grid": 64}})
 
 
 def test_load_json_document_errors(tmp_path):

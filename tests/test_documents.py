@@ -2,6 +2,8 @@
 
 import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from specsal.scenes import (
     scene_spec_to_dict,
     training_demo_scene_spec,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 manifest_from_dict = functools.partial(
     from_dict, DatasetManifest, context="manifest", error=ManifestError
@@ -158,3 +162,11 @@ def test_decoded_sequences_take_the_declared_container():
     assert isinstance(spec, SceneSpec)
     assert isinstance(spec.objects, list) and isinstance(spec.objects[0].center, tuple)
     assert spec == color_similar_scene_spec()
+
+
+def test_readme_model_config_block_shows_every_default():
+    # README shows every field of a model configuration at its default value
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    doc = json.loads(block)
+    assert model_config_from_dict(doc) == default_model_config()
+    assert doc == model_config_to_dict(default_model_config())

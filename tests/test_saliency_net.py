@@ -204,20 +204,21 @@ def test_trimap_head_distributions():
 
 
 def test_global_head_rejects_incompatible_grid():
-    """An incompatible grid is refused by ModelConfig before any head is built."""
+    """A cube whose levels do not fit the grid is refused by check_cube."""
     encoder = EncoderConfig(bands=8, heads=1, blocks=1)
-    with pytest.raises(ConfigError, match="no integer factor with level size 12"):
-        ModelConfig(encoder, DecoderConfig(grid=8, attention_width=16), 1, 24)
-    config = ModelConfig(encoder, DecoderConfig(grid=3, attention_width=16), 1, 24)
-    assert config.level_sizes() == [24, 12, 6, 3]
-    SaliencyModel(None, config)
+    with pytest.raises(ShapeError, match="no integer factor with level size 12"):
+        ModelConfig(encoder, DecoderConfig(grid=8, attention_width=16), 1).check_cube((8, 24, 24))
+    config = ModelConfig(encoder, DecoderConfig(grid=3, attention_width=16), 1)
+    assert config.level_sizes(24) == [24, 12, 6, 3]
+    out = SaliencyModel(np.random.default_rng(22), config)(np.ones((8, 24, 24)))
+    assert out.saliency.shape == (1, 24, 24) and out.block_saliency.shape == (1, 3, 3)
 
 
 def test_group_bands():
     """The model's output depends on the cube only through its BAND_GROUP band means."""
     config = tiny_model_config()
     model = SaliencyModel(np.random.default_rng(27), config)
-    cube = np.random.default_rng(28).uniform(0, 1, config.cube_shape)
+    cube = np.random.default_rng(28).uniform(0, 1, (8, 8, 8))
     groups = cube.reshape(-1, BAND_GROUP, *cube.shape[1:])
     shuffled = groups[:, ::-1].reshape(cube.shape)  # reorder bands within each group
     flattened = np.repeat(groups.mean(axis=1), BAND_GROUP, axis=0)
@@ -231,55 +232,90 @@ def test_group_bands():
 
 
 def test_model_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(input_size=20)  # not a multiple of 16 with stem 2
-    with pytest.raises(ConfigError):
-        ModelConfig(decoder=DecoderConfig(grid=6), input_size=64)
     with pytest.raises(ConfigError, match="stem stride"):
         ModelConfig(stem_stride=0)
-    with pytest.raises(ConfigError, match="no integer factor"):
-        ModelConfig(decoder=DecoderConfig(grid=3), stem_stride=1, input_size=8)
-    with pytest.raises(ConfigError, match="grid 16 exceeds the finest level size 8"):
-        ModelConfig(  # tiny config at grid 16: no level is as fine as the grid
-            encoder=EncoderConfig(bands=8, heads=1, blocks=1),
-            decoder=DecoderConfig(grid=16, attention_width=16),
-            stem_stride=1,
-            input_size=8,
-        )
     with pytest.raises(ConfigError, match="grid must be at most 32, got 64"):
         ModelConfig(  # levels 64/32/16/8 admit grid 64 by the factor rules alone
             encoder=EncoderConfig(bands=8, heads=1, blocks=1),
             decoder=DecoderConfig(grid=64, attention_width=16),
             stem_stride=1,
-            input_size=64,
         )
-    assert ModelConfig(stem_stride=1, input_size=8).cube_shape == (32, 8, 8)
-    assert tiny_model_config().level_sizes() == [8, 4, 2, 1]
-    assert default_model_config().level_sizes() == [32, 16, 8, 4]
+    ModelConfig(stem_stride=1).check_cube((32, 8, 8))
+    assert tiny_model_config().level_sizes(8) == [8, 4, 2, 1]
+    assert default_model_config().level_sizes(64) == [32, 16, 8, 4]
+
+
+_TINY_AT_GRID_16 = ModelConfig(  # no level of an 8x8 cube is as fine as the grid
+    encoder=EncoderConfig(bands=8, heads=1, blocks=1),
+    decoder=DecoderConfig(grid=16, attention_width=16),
+    stem_stride=1,
+)
+
+
+@pytest.mark.parametrize(
+    "config, shape, message",
+    [
+        (tiny_model_config(), (8, 8), r"a \(bands, H, W\) cube, got shape \(8, 8\)"),
+        (tiny_model_config(), (4, 8, 8), "expects 8 bands, got 4"),
+        (tiny_model_config(), (8, 32, 48), "square cube, got 32x48"),
+        (tiny_model_config(), (8, 36, 36), "cube size 36 must be a positive multiple of 8"),
+        (tiny_model_config(), (8, 0, 0), "cube size 0 must be a positive multiple of 8"),
+        (ModelConfig(), (32, 20, 20), "cube size 20 must be a positive multiple of 16"),
+        (_TINY_AT_GRID_16, (8, 8, 8), "grid 16 exceeds the finest level size 8"),
+        (demo_model_config(), (8, 24, 24), "grid 4 shares no integer factor with level size 6"),
+        (ModelConfig(decoder=DecoderConfig(grid=6)), (32, 64, 64), "grid 6 .* level size 32"),
+        (ModelConfig(decoder=DecoderConfig(grid=3), stem_stride=1), (32, 8, 8),
+         "grid 3 .* level size 8"),
+    ],
+    ids=["rank-2", "band-mismatch", "not-square", "not-a-multiple", "empty", "stem-2-multiple",
+         "grid-above-finest-level", "grid-without-factor", "grid-6-at-64", "grid-3-at-8"],
+)
+def test_check_cube_refuses_before_any_op_runs(config, shape, message):
+    with pytest.raises(ShapeError, match=message):
+        config.check_cube(shape)
+    model = SaliencyModel(None, config)
+    ops = []
+    with pytest.raises(ShapeError, match=message):
+        T._observe(lambda name, out, inputs: ops.append(name), lambda: model(np.ones(shape)))
+    assert ops == []
 
 
 def test_every_model_config_that_constructs_builds():
-    """ModelConfig is the only build check: no module below it refuses a config."""
+    """check_cube is the only gate: every config that constructs builds, and
+    its model runs on every cube size that check_cube admits."""
     encoder = EncoderConfig(bands=8, heads=1, blocks=1)
-    built = 0
-    for input_size, grid in itertools.product((8, 16), range(1, 65)):
+    ran = []
+    for grid in range(1, 65):
         try:
-            config = ModelConfig(encoder, DecoderConfig(grid, 8), 1, input_size)
+            config = ModelConfig(encoder, DecoderConfig(grid, 8), 1)
         except ConfigError:
+            assert grid > 32
             continue
-        SaliencyModel(None, config)
-        built += 1
-    assert built == 9  # grids 1, 2, 4, 8 at both sizes, and 16 at size 16
+        model = SaliencyModel(np.random.default_rng(grid), config)
+        for size in (8, 16):
+            try:
+                config.check_cube((8, size, size))
+            except ShapeError:
+                continue
+            out = model(np.random.default_rng(size).uniform(0, 1, (8, size, size)))
+            assert out.saliency.shape == (1, size, size)
+            assert out.block_saliency.shape == (1, grid, grid)
+            ran.append((size, grid))
+    # grids 1, 2, 4, 8 at both sizes, and 16 at size 16
+    assert sorted(ran) == [(8, 1), (8, 2), (8, 4), (8, 8),
+                           (16, 1), (16, 2), (16, 4), (16, 8), (16, 16)]
 
 
 def test_model_size_does_not_depend_on_input_size():
-    """Every level is resized to the grid, so no kernel grows with the cube."""
-
-    def scalars(config):
-        return sum(p.data.size for p in SaliencyModel(None, config).parameters_by_name.values())
-
-    assert {scalars(demo_model_config(input_size=s)) for s in (32, 64, 128)} == {279_110}
-    assert {scalars(default_model_config(input_size=s)) for s in (64, 128)} == {288_684}
+    """Every level is resized to the grid, so one model runs at every admitted size."""
+    rng = np.random.default_rng(33)
+    for config, scalars, sizes in ((demo_model_config(), 279_110, (16, 32, 64)),
+                                   (default_model_config(), 288_684, (32, 64))):
+        model = SaliencyModel(rng, config)
+        assert sum(p.data.size for p in model.parameters_by_name.values()) == scalars
+        for size in sizes:
+            cube = rng.uniform(0, 1, (config.encoder.bands, size, size))
+            assert model(cube).saliency.shape == (1, size, size)
 
 
 def test_model_forward_contract_and_determinism():
@@ -302,14 +338,14 @@ def test_model_forward_contract_and_determinism():
 
 def test_model_rejects_wrong_cube_shape():
     model = SaliencyModel(np.random.default_rng(27), tiny_model_config())
-    with pytest.raises(ShapeError):
-        model(np.ones((8, 16, 16)))
+    # one model runs on every cube size its grid admits
+    assert model(np.ones((8, 16, 16))).saliency_map().shape == (16, 16)
     with pytest.raises(ShapeError):
         model(np.ones((4, 8, 8)))
 
 
 def test_model_stem_upsampling_matches_finest_level():
-    config = default_model_config(bands=8, input_size=32)
+    config = default_model_config(bands=8)
     model = SaliencyModel(np.random.default_rng(28), config)
     out = model(np.random.default_rng(29).uniform(0, 1, (8, 32, 32)))
     assert out.saliency.shape == (1, 32, 32)

@@ -205,14 +205,14 @@ def test_backward_returns_no_gradient_for_constant_operands():
     assert sum(sum(constant) for constant, _ in replayed) > 0  # constants do occur
 
 
-@pytest.mark.parametrize("config", [demo_model_config, default_model_config])
-def test_every_parameter_reaches_the_loss(config):
+@pytest.mark.parametrize("config, size", [(demo_model_config, 32), (default_model_config, 64)],
+                         ids=["demo_model_config", "default_model_config"])
+def test_every_parameter_reaches_the_loss(config, size):
     # one seeded step of a fresh model gives every parameter a nonzero
     # gradient somewhere; the tiny config is left out, because its 1x1
     # deepest level standardizes to exactly 0 and zeroes parameters by design
     config = config()
-    bands, height, width = config.cube_shape
-    cube, mask = synth_scene(training_demo_scene_spec(height, width, bands), 4)
+    cube, mask = synth_scene(training_demo_scene_spec(size, size, config.encoder.bands), 4)
     model = SaliencyModel(np.random.default_rng(2), config)
     backprop(model.parameters_by_name.items(),
              lambda: compute_losses(model(cube.data), cube.data, mask.astype(float))[0],
