@@ -4,11 +4,13 @@ The model hands a raw reflectance cube (bands, H, W) as a plain array to the
 spectral encoder, which groups the bands itself, and runs the taped network
 from there. It returns every supervised quantity: the full-resolution
 saliency map, the four per-level maps, the three-way labelings of the three
-coarser levels, the coarse global grid, and the reconstructed cube.
+coarser levels, the coarse global grid, and the reconstructed cube, whose
+restore head runs only when it is first read (``infer`` never reads it).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,10 +99,15 @@ class ModelOutput:
     """Everything the loss needs from one forward pass (all taped Tensors)."""
 
     saliency: Tensor  # (1, H, W) in (0,1), full input resolution
-    restored: Tensor  # (bands, H, W) reconstruction of the raw cube
     block_saliency: Tensor  # (1, g, g) coarse global grid in (0,1)
     level_predictions: list  # four (1, h_i, w_i) sigmoid maps, fine to coarse
     trimaps: list  # three (3, h_i, w_i) per-pixel distributions, for level_predictions[1:]
+    features: Tensor  # the encoder's output, which the restore head reads
+    encoder: SpectralEncoder
+
+    @functools.cached_property
+    def restored(self) -> Tensor:  # (bands, H, W), run on first read; read it under the
+        return self.encoder.restore(self.features)  # forward's tape to train the restore head
 
     def saliency_map(self) -> np.ndarray:
         """Plain (H, W) float array of the final saliency values."""
@@ -126,8 +133,8 @@ class SaliencyModel(Module):
     def __call__(self, cube_values: np.ndarray) -> ModelOutput:
         shape = np.shape(cube_values)
         self.config.check_cube(shape)
-        features, restored = self.encoder(cube_values)
+        features = self.encoder(cube_values)
         pyramid = self.backbone(features)
         block_map, predictions, trimaps = self.decoder(pyramid)
         saliency = resize_to(predictions[0], shape[1], shape[2])
-        return ModelOutput(saliency, restored, block_map, predictions, trimaps)
+        return ModelOutput(saliency, block_map, predictions, trimaps, features, self.encoder)

@@ -1,4 +1,6 @@
-"""Spectral token attention encoder with a band-reconstruction head.
+"""Spectral token attention encoder with a band-reconstruction head, which is a
+call of its own: the encoder returns features only, and ``restore(features)``
+runs when the model's reconstruction is first read.
 
 The encoder takes the raw (bands, H, W) cube and groups it itself: it averages
 each run of ``BAND_GROUP`` adjacent bands (a fixed, parameter-free reduction),
@@ -186,10 +188,10 @@ class EncoderConfig:
 class SpectralEncoder(Module):
     """Band grouping, embedding conv, attention blocks, a band-restoration conv.
 
-    Takes the raw (bands, H, W) cube as a plain array and returns (features,
-    restored): features stay at the grouped band count for the saliency
-    network, restored recovers the native band count and is scored against
-    the original cube during training.
+    Takes the raw (bands, H, W) cube as a plain array and returns its features,
+    at the grouped band count, for the saliency network. ``restore(features)``
+    recovers the native band count, scored against the original cube during
+    training; a forward pass that only needs saliency never runs it.
     """
 
     def __init__(self, rng: np.random.Generator, config: EncoderConfig):
@@ -213,4 +215,4 @@ class SpectralEncoder(Module):
         hidden = self.embed(Tensor(grouped))
         for block in self.blocks:
             hidden = block(hidden)
-        return hidden, self.restore(hidden)
+        return hidden

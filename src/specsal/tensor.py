@@ -3,10 +3,12 @@
 Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor with a
 gradient array; the values and gradients of the Parameters of one Store are
 slices of two flat arrays. Differentiable ops are module-level functions, and
-each passes its own name to _push. While a Tape is active it records each op
-with an input that needs a gradient, as gradient nodes and a closure that keeps
-only the shapes and arrays backward reads. Tape.backward pops each record once,
-in reverse execution order.
+each passes its own name to _kept, which looks each input's node up once. Only
+when the active Tape keeps the op (an input needs a gradient) does the op build
+its backward closure, keeping only the shapes and arrays backward reads, and
+call Tape.record. Tape.backward pops each record once, in reverse execution
+order. Block sums (downsample_avg, upsample_nearest's backward) add strided
+slices in numpy's own order, so they equal its reshape reduce bit for bit.
 
 The observer (_observe) is the one way to look at a forward pass: with no tape
 active, it is handed the name, output and inputs of every op.
@@ -160,11 +162,10 @@ class Tape:
         node = t.node
         return node if node is not None and node.tape is self._key else None
 
-    def record(self, out: Tensor, inputs, back) -> None:
-        nodes = tuple(map(self._node, inputs))
-        if nodes.count(None) < len(nodes):
-            out.node = _Node(self._key)
-            self._records.append((out.node, nodes, back))
+    def record(self, out: Tensor, nodes, back) -> None:
+        """Keep one op: ``nodes`` holds each input's node (None for a constant), one at least set."""
+        out.node = _Node(self._key)
+        self._records.append((out.node, nodes, back))
 
     def __len__(self):
         return len(self._records)
@@ -251,21 +252,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _push(name: str, out: Tensor, inputs, back) -> None:
-    tape = _state.tape
-    if tape is not None:
-        tape.record(out, inputs, back)
-    elif _state.see is not None:
-        _state.see(name, out, inputs)
-
-
-def _grad_shapes(a, b):
-    """Each operand's shape if the active tape will route a gradient to it, else None."""
+def _kept(name: str, out: Tensor, inputs):
+    """Each input's node, looked up once, if the active tape keeps this op, else None."""
     tape = _state.tape
     if tape is None:
-        return None, None
-    node = tape._node
-    return (a.shape if node(a) is not None else None, b.shape if node(b) is not None else None)
+        if _state.see is not None:
+            _state.see(name, out, inputs)
+        return None
+    nodes = tuple(map(tape._node, inputs))
+    return nodes if nodes.count(None) < len(nodes) else None
+
+
+def _push(name: str, out: Tensor, inputs, back) -> None:
+    if nodes := _kept(name, out, inputs):
+        _state.tape.record(out, nodes, back)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -287,46 +287,51 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
-    sa, sb = _grad_shapes(a, b)
-    _push("add", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
-                                         None if sb is None else _unbroadcast(g, sb)))
+    if nodes := _kept("add", out, (a, b)):
+        (na, nb), sa, sb = nodes, a.shape, b.shape
+        _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g, sa),
+                                                  None if nb is None else _unbroadcast(g, sb)))
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data - b.data)
-    sa, sb = _grad_shapes(a, b)
-    _push("sub", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g, sa),
-                                         None if sb is None else _unbroadcast(-g, sb)))
+    if nodes := _kept("sub", out, (a, b)):
+        (na, nb), sa, sb = nodes, a.shape, b.shape
+        _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g, sa),
+                                                  None if nb is None else -_unbroadcast(g, sb)))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
-    sa, sb = _grad_shapes(a, b)
-    ad, bd = None if sb is None else a.data, None if sa is None else b.data  # each reads the other
-    _push("mul", out, (a, b), lambda g: (None if sa is None else _unbroadcast(g * bd, sa),
-                                         None if sb is None else _unbroadcast(g * ad, sb)))
+    if nodes := _kept("mul", out, (a, b)):
+        (na, nb), sa, sb = nodes, a.shape, b.shape
+        ad, bd = None if nb is None else a.data, None if na is None else b.data  # each reads the other
+        _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g * bd, sa),
+                                                  None if nb is None else _unbroadcast(g * ad, sb)))
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data / b.data)
-    sa, sb = _grad_shapes(a, b)
-    ad, bd = None if sb is None else a.data, b.data
-    _push("div", out, (a, b),
-          lambda g: (None if sa is None else _unbroadcast(g / bd, sa),
-                     None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
+    if nodes := _kept("div", out, (a, b)):
+        (na, nb), sa, sb = nodes, a.shape, b.shape
+        ad, bd = None if nb is None else a.data, b.data
+        _state.tape.record(out, nodes, lambda g: (
+            None if na is None else _unbroadcast(g / bd, sa),
+            None if nb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
     return out
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(-a.data)
-    _push("neg", out, (a,), lambda g: (-g,))
+    if nodes := _kept("neg", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (-g,))
     return out
 
 
@@ -336,7 +341,8 @@ def power(a, exponent: float) -> Tensor:
     p = float(exponent)
     ad = a.data
     out = Tensor(ad**p)
-    _push("power", out, (a,), lambda g: (g * p * ad ** (p - 1.0),))
+    if nodes := _kept("power", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g * p * ad ** (p - 1.0),))
     return out
 
 
@@ -344,7 +350,8 @@ def absolute(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = Tensor(np.abs(ad))
-    _push("absolute", out, (a,), lambda g: (g * np.sign(ad),))
+    if nodes := _kept("absolute", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g * np.sign(ad),))
     return out
 
 
@@ -352,7 +359,8 @@ def log(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     out = Tensor(np.log(ad))
-    _push("log", out, (a,), lambda g: (g / ad,))
+    if nodes := _kept("log", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g / ad,))
     return out
 
 
@@ -360,7 +368,8 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     y = np.exp(a.data)
     out = Tensor(y)
-    _push("exp", out, (a,), lambda g: (g * y,))
+    if nodes := _kept("exp", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g * y,))
     return out
 
 
@@ -368,8 +377,9 @@ def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes through strictly inside the bounds."""
     a = _as_tensor(a)
     out = Tensor(np.clip(a.data, lo, hi))
-    inside = (a.data > lo) & (a.data < hi)
-    _push("clip", out, (a,), lambda g: (g * inside,))
+    if nodes := _kept("clip", out, (a,)):
+        inside = (a.data > lo) & (a.data < hi)
+        _state.tape.record(out, nodes, lambda g: (g * inside,))
     return out
 
 
@@ -394,8 +404,7 @@ _ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.5493777888
 
 
 def _horner(x: np.ndarray, coefs) -> np.ndarray:
-    acc = x * coefs[0]
-    acc += coefs[1]
+    acc = x + coefs[1] if coefs[0] == 1.0 else x * coefs[0] + coefs[1]  # monic: no "* 1.0" pass
     for c in coefs[2:]:
         acc *= x
         acc += c
@@ -406,7 +415,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
     """Elementwise erf of a float64 array, within 2 ulp of math.erf.
 
     The small rational runs on every entry, with x clipped to [-1, 1] so that
-    it stays finite where |x| > 1; only those entries are then recomputed.
+    it stays finite where |x| > 1; only those entries, if any, are then recomputed.
     """
     small = np.clip(x, -1.0, 1.0)  # NaN passes through and comes out NaN
     with np.errstate(under="ignore"):  # x * x of tiny |x| underflows harmlessly
@@ -416,11 +425,12 @@ def _erf(x: np.ndarray) -> np.ndarray:
         out /= _horner(z, _ERF_U)
     ax = np.abs(x)
     large = ax > 1.0
-    a = np.minimum(ax[large], 6.0)
-    erfc = np.exp(-a * a)
-    erfc *= _horner(a, _ERFC_P)
-    erfc /= _horner(a, _ERFC_Q)
-    out[large] = np.copysign(1.0 - erfc, x[large])
+    if large.any():
+        a = np.minimum(ax[large], 6.0)
+        erfc = np.exp(-a * a)
+        erfc *= _horner(a, _ERFC_P)
+        erfc /= _horner(a, _ERFC_Q)
+        out[large] = np.copysign(1.0 - erfc, x[large])
     return out
 
 
@@ -428,7 +438,8 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     y = np.maximum(a.data, 0.0)
     out = Tensor(y)
-    _push("relu", out, (a,), lambda g: (g * (y > 0.0),))  # y > 0 exactly where a > 0
+    if nodes := _kept("relu", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g * (y > 0.0),))  # y > 0 exactly where a > 0
     return out
 
 
@@ -439,7 +450,8 @@ def sigmoid(a) -> Tensor:
         e = np.exp(-np.abs(a.data))
     y = np.where(a.data >= 0.0, 1.0, e) / (1.0 + e)
     out = Tensor(y)
-    _push("sigmoid", out, (a,), lambda g: (g * y * (1.0 - y),))
+    if nodes := _kept("sigmoid", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g * y * (1.0 - y),))
     return out
 
 
@@ -447,14 +459,15 @@ def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = _as_tensor(a)
     ad = a.data
-    cdf = 0.5 * (1.0 + _erf(ad / math.sqrt(2.0)))
+    cdf = _erf(ad / math.sqrt(2.0))
+    cdf = np.multiply(np.add(cdf, 1.0, out=cdf), 0.5, out=cdf)  # 0.5 * (1 + erf), in place
     out = Tensor(ad * cdf)
+    if nodes := _kept("gelu", out, (a,)):
+        def back(g):
+            pdf = np.exp(-0.5 * ad * ad) / math.sqrt(2.0 * math.pi)
+            return (g * (cdf + ad * pdf),)
 
-    def back(g):
-        pdf = np.exp(-0.5 * ad * ad) / math.sqrt(2.0 * math.pi)
-        return (g * (cdf + ad * pdf),)
-
-    _push("gelu", out, (a,), back)
+        _state.tape.record(out, nodes, back)
     return out
 
 
@@ -469,12 +482,12 @@ def softmax(a, axis: int) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
+    if nodes := _kept("softmax", out, (a,)):
+        def back(g):
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            return (y * (g - dot),)
 
-    def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    _push("softmax", out, (a,), back)
+        _state.tape.record(out, nodes, back)
     return out
 
 
@@ -488,8 +501,9 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(shape))
-    original = a.shape
-    _push("reshape", out, (a,), lambda g: (g.reshape(original),))
+    if nodes := _kept("reshape", out, (a,)):
+        original = a.shape
+        _state.tape.record(out, nodes, lambda g: (g.reshape(original),))
     return out
 
 
@@ -498,7 +512,8 @@ def transpose2d(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose2d needs a 2-d tensor, got shape {a.shape}")
     out = Tensor(a.data.T)
-    _push("transpose2d", out, (a,), lambda g: (g.T,))
+    if nodes := _kept("transpose2d", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (g.T,))
     return out
 
 
@@ -515,13 +530,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index, shape = tuple(index), a.shape
     out = Tensor(a.data[index])
+    if nodes := _kept("narrow", out, (a,)):
+        def back(g):
+            full = np.zeros(shape)
+            full[index] = g
+            return (full,)
 
-    def back(g):
-        full = np.zeros(shape)
-        full[index] = g
-        return (full,)
-
-    _push("narrow", out, (a,), back)
+        _state.tape.record(out, nodes, back)
     return out
 
 
@@ -530,8 +545,9 @@ def concat(parts, axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
-    _push("concat", out, tuple(parts), lambda g: tuple(np.split(g, ends, axis=axis)))
+    if nodes := _kept("concat", out, tuple(parts)):
+        ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
+        _state.tape.record(out, nodes, lambda g: tuple(np.split(g, ends, axis=axis)))
     return out
 
 
@@ -547,14 +563,10 @@ def sum_over(a, axes=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _norm_axes(axes, a.ndim)
     out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
-    shape = a.shape
-
-    def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    _push("sum_over", out, (a,), back)
+    if nodes := _kept("sum_over", out, (a,)):  # backward returns a read-only view, no copy
+        shape = a.shape
+        _state.tape.record(out, nodes, lambda g: (
+            np.broadcast_to(g if keepdims else np.expand_dims(g, axes), shape),))
     return out
 
 
@@ -564,13 +576,9 @@ def mean_over(a, axes=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
     count = math.prod(shape[ax] for ax in axes)
     out = Tensor(a.data.sum(axis=axes, keepdims=keepdims) / count)  # np.mean's arithmetic
-
-    def back(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape) / count,)
-
-    _push("mean_over", out, (a,), back)
+    if nodes := _kept("mean_over", out, (a,)):
+        _state.tape.record(out, nodes, lambda g: (
+            np.broadcast_to((g if keepdims else np.expand_dims(g, axes)) / count, shape),))
     return out
 
 
@@ -585,10 +593,11 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
-    sa, sb = _grad_shapes(a, b)
-    ad, bd = None if sb is None else a.data, None if sa is None else b.data
-    _push("matmul", out, (a, b), lambda g: (None if sa is None else g @ bd.T,
-                                            None if sb is None else ad.T @ g))
+    if nodes := _kept("matmul", out, (a, b)):
+        na, nb = nodes
+        ad, bd = None if nb is None else a.data, None if na is None else b.data
+        _state.tape.record(out, nodes, lambda g: (None if na is None else g @ bd.T,
+                                                  None if nb is None else ad.T @ g))
     return out
 
 
@@ -646,21 +655,22 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
         return out.reshape(groups, -1, rows * cols)
 
     out = Tensor((km @ im2col(x.data, False)).reshape(c_out, ho, wo))
-    sx, sk = _grad_shapes(x, kernel)
-    xd, kd = None if sk is None else x.data, None if sx is None else kernel.data
+    if nodes := _kept("conv2d", out, (x, kernel)):
+        (nx, nk), sx, sk = nodes, x.shape, kernel.shape
+        xd, kd = None if nk is None else x.data, None if nx is None else kernel.data
 
-    def back(g):
-        gm = g.reshape(groups, c_out // groups, ho * wo)
-        gx = gk = None
-        if sk is not None:
-            gk = (gm @ im2col(xd, False).transpose(0, 2, 1)).reshape(sk)
-        if sx is not None:
-            flipped = kd[:, :, ::-1, ::-1].reshape(groups, c_out // groups, c_k, kh * kw)
-            kt = flipped.transpose(0, 2, 1, 3).reshape(groups, c_k, -1)  # rows (o, u, v)
-            gx = (kt @ im2col(g, True)).reshape(sx)
-        return gx, gk
+        def back(g):
+            gm = g.reshape(groups, c_out // groups, ho * wo)
+            gx = gk = None
+            if nk is not None:
+                gk = (gm @ im2col(xd, False).transpose(0, 2, 1)).reshape(sk)
+            if nx is not None:
+                flipped = kd[:, :, ::-1, ::-1].reshape(groups, c_out // groups, c_k, kh * kw)
+                kt = flipped.transpose(0, 2, 1, 3).reshape(groups, c_k, -1)  # rows (o, u, v)
+                gx = (kt @ im2col(g, True)).reshape(sx)
+            return gx, gk
 
-    _push("conv2d", out, (x, kernel), back)
+        _state.tape.record(out, nodes, back)
     return out
 
 
@@ -682,15 +692,16 @@ def channel_conv1d(x, kernel) -> Tensor:
     xp[pad : pad + c] = xv
     kd = kernel.data
     out = Tensor(np.correlate(xp, kd, mode="valid").reshape(c, 1, 1))
-    sx, sk = _grad_shapes(x, kernel)
+    if nodes := _kept("channel_conv1d", out, (x, kernel)):
+        (nx, nk), sx, sk = nodes, x.shape, kernel.shape
 
-    def back(g):
-        gv = g.reshape(c)
-        gk = None if sk is None else np.correlate(xp, gv, mode="valid")
-        gx = None if sx is None else np.convolve(gv, kd, mode="full")[pad : pad + c].reshape(sx)
-        return gx, gk
+        def back(g):
+            gv = g.reshape(c)
+            gk = None if nk is None else np.correlate(xp, gv, mode="valid")
+            gx = None if nx is None else np.convolve(gv, kd, mode="full")[pad : pad + c].reshape(sx)
+            return gx, gk
 
-    _push("channel_conv1d", out, (x, kernel), back)
+        _state.tape.record(out, nodes, back)
     return out
 
 
@@ -703,14 +714,15 @@ def pool_global(x, mode: str) -> Tensor:
         return mean_over(x, (1, 2), keepdims=True)
     if mode == "max":
         out = Tensor(x.data.max(axis=(1, 2), keepdims=True))
-        xd, y = x.data, out.data
+        if nodes := _kept("pool_global", out, (x,)):
+            xd, y = x.data, out.data
 
-        def back(g):
-            mask = xd == y  # ties share the gradient evenly
-            counts = mask.sum(axis=(1, 2), keepdims=True)
-            return (mask * (g / counts),)
+            def back(g):
+                mask = xd == y  # ties share the gradient evenly
+                counts = mask.sum(axis=(1, 2), keepdims=True)
+                return (mask * (g / counts),)
 
-        _push("pool_global", out, (x,), back)
+            _state.tape.record(out, nodes, back)
         return out
     raise ValueError(f"pool_global mode must be 'avg' or 'max', got {mode!r}")
 
@@ -743,7 +755,8 @@ def pixel_shuffle(x, factor: int) -> Tensor:
     if x.shape[0] % (r * r) != 0:
         raise ShapeError(f"pixel_shuffle factor {r} does not divide {x.shape[0]} channels")
     out = Tensor(_shuffle_raw(x.data, r))
-    _push("pixel_shuffle", out, (x,), lambda g: (_unshuffle_raw(g, r),))
+    if nodes := _kept("pixel_shuffle", out, (x,)):
+        _state.tape.record(out, nodes, lambda g: (_unshuffle_raw(g, r),))
     return out
 
 
@@ -753,26 +766,41 @@ def pixel_unshuffle(x, factor: int) -> Tensor:
     if x.shape[1] % r != 0 or x.shape[2] % r != 0:
         raise ShapeError(f"pixel_unshuffle factor {r} does not divide spatial dims {x.shape[1:]}")
     out = Tensor(_unshuffle_raw(x.data, r))
-    _push("pixel_unshuffle", out, (x,), lambda g: (_shuffle_raw(g, r),))
+    if nodes := _kept("pixel_unshuffle", out, (x,)):
+        _state.tape.record(out, nodes, lambda g: (_shuffle_raw(g, r),))
     return out
+
+
+def _block_sum(d: np.ndarray, f: int) -> np.ndarray:
+    """d.reshape(C, H/f, f, W/f, f).sum(axis=(2, 4)) of a (C, H, W) array, from strided
+    slices below f = 8: numpy adds fewer than 8 terms one by one, so where an output row
+    is more than one block wide it adds each row's f columns in turn, then the f rows,
+    and so do the slices, bit for bit up to the sign of a zero sum and several times faster."""
+    if not 1 < f < 8:  # from 8 terms numpy sums pairwise, and slices do not win
+        c, h, w = d.shape
+        return d.reshape(c, h // f, f, w // f, f).sum(axis=(2, 4))
+    rows = sum((d[:, :, k::f] for k in range(2, f)), d[:, :, 0::f] + d[:, :, 1::f])
+    return sum((rows[:, k::f] for k in range(2, f)), rows[:, 0::f] + rows[:, 1::f])
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
     x, f = _map_and_factor("upsample_nearest", x, factor)
     out = Tensor(np.repeat(np.repeat(x.data, f, axis=1), f, axis=2))
-    c, h, w = x.shape
-    _push("upsample_nearest", out, (x,), lambda g: (g.reshape(c, h, f, w, f).sum(axis=(2, 4)),))
+    if nodes := _kept("upsample_nearest", out, (x,)):
+        _state.tape.record(out, nodes, lambda g: (_block_sum(g, f),))
     return out
 
 
 def downsample_avg(x, factor: int) -> Tensor:
     x, f = _map_and_factor("downsample_avg", x, factor)
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % f != 0 or w % f != 0:
         raise ShapeError(f"downsample_avg factor {f} does not divide spatial dims {(h, w)}")
-    out = Tensor(x.data.reshape(c, h // f, f, w // f, f).mean(axis=(2, 4)))
-    _push("downsample_avg", out, (x,),
-          lambda g: (np.repeat(np.repeat(g, f, axis=1), f, axis=2) / (f * f),))
+    sums = _block_sum(x.data, f)
+    sums /= f * f  # np.mean's arithmetic, in place
+    out = Tensor(sums)
+    if nodes := _kept("downsample_avg", out, (x,)):
+        _state.tape.record(out, nodes, lambda g: (np.repeat(np.repeat(g / (f * f), f, 1), f, 2),))
     return out
 
 

@@ -187,7 +187,7 @@ def fit_reconstruction(encoder, cube_values, steps: int, learning_rate: float = 
     history = []
     for step in range(1, steps + 1):
         loss = backprop(named_parameters,
-                        lambda: mean_absolute_error(encoder(cube_values)[1], cube_values),
+                        lambda: mean_absolute_error(encoder.restore(encoder(cube_values)), cube_values),
                         f"reconstruction step {step}")
         optimizer.step()
         history.append(loss.item())

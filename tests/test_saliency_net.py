@@ -336,6 +336,25 @@ def test_model_forward_contract_and_determinism():
     assert a.saliency_map().shape == (8, 8)
 
 
+def test_restore_head_runs_only_when_restored_is_read():
+    model = SaliencyModel(np.random.default_rng(0), tiny_model_config())
+    cube = np.random.default_rng(1).uniform(0.0, 1.0, (8, 8, 8))
+
+    def convs(build):
+        names = []
+        T._observe(lambda name, out, inputs: names.append(name), build)
+        return names.count("conv2d")
+
+    # 80 convs make the saliency map; reading the reconstruction runs the 81st
+    assert convs(lambda: model(cube).saliency_map()) == 80
+    assert convs(lambda: model(cube).restored) == 81
+    out = model(cube)
+    np.testing.assert_array_equal(out.features.data, model.encoder(cube).data)
+    restored = out.restored
+    np.testing.assert_array_equal(restored.data, model.encoder.restore(out.features).data)
+    assert out.restored is restored  # computed once
+
+
 def test_model_rejects_wrong_cube_shape():
     model = SaliencyModel(np.random.default_rng(27), tiny_model_config())
     # one model runs on every cube size its grid admits

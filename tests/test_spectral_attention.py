@@ -170,11 +170,14 @@ def test_encoder_config_validation():
 
 
 def test_encoder_returns_features_and_restored_bands():
-    """The encoder takes the raw cube and averages runs of BAND_GROUP bands itself."""
+    """The encoder takes the raw cube and averages runs of BAND_GROUP bands itself; it
+    returns the features alone, and its restore head maps them back to every band."""
     config = EncoderConfig(bands=8, heads=2, blocks=1)
     encoder = SpectralEncoder(np.random.default_rng(12), config)
     cube = np.random.default_rng(13).uniform(0.0, 1.0, (8, 6, 6))
-    features, restored = encoder(cube)
+    features = encoder(cube)
+    assert isinstance(features, Tensor)
+    restored = encoder.restore(features)
     assert features.shape == (2, 6, 6)
     assert restored.shape == (8, 6, 6)
 

@@ -597,6 +597,44 @@ def test_ops_off_tape_record_nothing():
     assert len(tape) == 0
 
 
+def _reshape_block_sum(d, f):
+    c, h, w = d.shape
+    return d.reshape(c, h // f, f, w // f, f).sum(axis=(2, 4))
+
+
+@pytest.mark.parametrize("f", range(1, 17))
+def test_block_sum_matches_the_reshape_reduce_bit_for_bit(f):
+    # downsample_avg forward and upsample_nearest backward take block sums from
+    # strided slices; where an output row is two or more blocks wide they add in
+    # numpy's own order, so the reshape reduce they replace gives the same bits
+    rng = np.random.default_rng(f)
+    for channels in (1, 3):
+        for rows, cols in ((2, 2), (3, 5), (1, 4)):
+            shape = (channels, f * rows, f * cols)
+            d = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+            np.testing.assert_array_equal(T._block_sum(d, f), _reshape_block_sum(d, f))
+            np.testing.assert_array_equal(T.downsample_avg(Tensor(d), f).data,
+                                          d.reshape(channels, rows, f, cols, f).mean(axis=(2, 4)))
+            x = Parameter(np.zeros((channels, rows, cols)))
+            with Tape() as tape:
+                up = T.upsample_nearest(x, f)
+                loss = T.sum_over(T.mul(up, d))
+            tape.backward(loss)
+            np.testing.assert_array_equal(x.grad, _reshape_block_sum(d, f))
+
+
+def test_block_sum_one_block_wide_agrees_at_rounding():
+    # where an output row is one block wide (the tiny config's 1x1 level),
+    # numpy merges each block into one contiguous run and sums it in another
+    # order, so the slices agree with it only to rounding below f = 8
+    rng = np.random.default_rng(17)
+    for f in range(2, 8):
+        d = rng.normal(size=(3, 2 * f, f)) * 10.0 ** rng.uniform(-6, 6, size=(3, 2 * f, f))
+        want = _reshape_block_sum(d, f)
+        np.testing.assert_allclose(T._block_sum(d, f), want, rtol=0,
+                                   atol=4 * f * f * np.spacing(np.abs(d).max()))
+
+
 def test_broadcast_add_unbroadcasts_gradient():
     a = Parameter(np.ones((3, 1)))
     b = Parameter(np.ones((1, 4)))

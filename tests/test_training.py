@@ -205,6 +205,30 @@ def test_backward_returns_no_gradient_for_constant_operands():
     assert sum(sum(constant) for constant, _ in replayed) > 0  # constants do occur
 
 
+def test_tape_record_is_called_only_for_kept_records(monkeypatch):
+    # an op looks its inputs' nodes up once and calls Tape.record only when the
+    # tape keeps it: not with no tape active, not when every input is a constant
+    cube, mask = synth_scene(training_demo_scene_spec(), 0)
+    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
+    calls, record = [], T.Tape.record
+
+    def counted(tape, out, nodes, back):
+        calls.append(nodes)
+        return record(tape, out, nodes, back)
+
+    monkeypatch.setattr(T.Tape, "record", counted)
+    step = lambda: compute_losses(model(cube.data), cube.data, mask.astype(float))  # noqa: E731
+    with T.Tape() as tape:
+        step()
+    assert len(calls) == len(tape) == 1014
+    assert all(any(node is not None for node in nodes) for nodes in calls)
+    seen = []
+    T._observe(lambda name, out, inputs: seen.append(name), step)
+    assert len(seen) == 1018 and len(calls) == 1014  # 4 ops on constants alone, and no record
+    model(cube.data).saliency_map()
+    assert len(calls) == 1014
+
+
 @pytest.mark.parametrize("config, size", [(demo_model_config, 32), (default_model_config, 64)],
                          ids=["demo_model_config", "default_model_config"])
 def test_every_parameter_reaches_the_loss(config, size):
