@@ -110,18 +110,16 @@ class HighResBackbone(Module):
 class CrossScaleFusion(Module):
     """Split-transform-merge mixing of one level with the next-deeper one.
 
-    The level's channels split in half. The context half goes through a
-    pool-conv-upsample smoother plus skip, then wide factorized 7x1/1x7
-    convolutions. The detail half goes through 1x1 + two 3x3 convs and is
-    joined with the upsampled detail half of the deeper level. A 1x1 merge
-    brings the concatenation back to the level width.
+    The level's channels split in half. The context half goes through wide
+    factorized 7x1/1x7 convolutions. The detail half goes through 1x1 + two
+    3x3 convs and is joined with the upsampled detail half of the deeper
+    level. A 1x1 merge brings the concatenation back to the level width.
     """
 
     def __init__(self, rng, channels: int, deeper_channels=None):
         half = channels // 2
         self.channels = channels
         self.deeper_channels = deeper_channels
-        self.context_conv = ConvNorm(rng, half, half, 3)
         self.wide_row_first = ConvNormRelu(rng, half, half, (7, 1))
         self.wide_row_second = ConvNorm(rng, half, half, (1, 7))
         self.wide_col_first = ConvNormRelu(rng, half, half, (1, 7))
@@ -131,14 +129,6 @@ class CrossScaleFusion(Module):
         self.detail_out = ConvNorm(rng, half, half, 3)
         merged = channels + (deeper_channels // 2 if deeper_channels else 0)
         self.merge = ConvNormRelu(rng, merged, channels, 1)
-
-    def _smooth(self, x):
-        # pool/upsample sandwich needs even spatial dims of at least 2;
-        # degenerate tiny levels fall back to the bare conv
-        _, h, w = x.shape
-        if h < 2 or w < 2 or h % 2 or w % 2:
-            return self.context_conv(x)
-        return T.upsample_nearest(self.context_conv(T.downsample_avg(x, 2)), 2)
 
     def _wide(self, x):
         rows = self.wide_row_second(self.wide_row_first(x))
@@ -152,7 +142,7 @@ class CrossScaleFusion(Module):
         context_in = T.narrow(x, 0, 0, half)
         detail_in = T.narrow(x, 0, half, half)
 
-        context = self._wide(T.add(self._smooth(context_in), context_in))
+        context = self._wide(context_in)
         detail = self.detail_out(self.detail_mid(self.detail_in(detail_in)))
         if deeper is not None:
             deep_half = self.deeper_channels // 2

@@ -5,12 +5,14 @@ file path (tests/conftest.py), runs each once per session and compares the
 result with these files bit-exactly, so any change to initialization order,
 optimizer math, the loss graph or the demo model's size shows up as a diff
 here. Floats are stored as hex strings to survive JSON round trips without
-rounding.
+rounding. The demo file also records the demo model's parameter count and the
+tape records one seeded forward pass plus loss of a fresh demo model keeps.
 
 Before overwriting a committed file, the tool prints the largest relative
-drift of each column from it, and the old and new parameter count when that
-changed, so a deliberate numeric or structural change can report how far the
-trajectories moved and how the model's size changed.
+drift of each column from it, and the old and new parameter count and tape
+record count when those changed, so a deliberate numeric or structural change
+can report how far the trajectories moved and how the model's size and its
+step's tape changed.
 
 Run from the repository root:
 
@@ -27,12 +29,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # the checkout's specsal, installed or not
 
+from specsal.losses import compute_losses  # noqa: E402
 from specsal.model import EncoderConfig, SaliencyModel, SpectralEncoder, demo_model_config  # noqa: E402
 from specsal.scenes import (  # noqa: E402
     reconstruction_demo_scene_spec,
     synth_scene,
     training_demo_scene_spec,
 )
+from specsal.tensor import Tape  # noqa: E402
 from specsal.training import TrainConfig, fit_reconstruction, train_loop  # noqa: E402
 
 REFERENCE_DIR = ROOT / "tests" / "reference"
@@ -54,14 +58,23 @@ def training_demo_run() -> TrainingDemoRun:
     return TrainingDemoRun(cube.data, mask, model, reports)
 
 
+def demo_step_tape_records(run: TrainingDemoRun) -> int:
+    """Records a Tape keeps for one forward pass plus loss of a fresh model 0 on the run's scene."""
+    model = SaliencyModel(np.random.default_rng(0), demo_model_config())
+    with Tape() as tape:
+        compute_losses(model(run.cube), run.cube, run.mask)
+    return len(tape)
+
+
 def training_demo_trajectory(run: TrainingDemoRun) -> dict:
-    """The committed form of a training demo run: its model size and loss reports."""
+    """The committed form of a training demo run: its model and step sizes and loss reports."""
     reports = run.reports
     return {
         "scene": "training-demo",
         "scene_seed": 0,
         "model_seed": 0,
         "parameter_scalars": sum(p.data.size for p in run.model.parameters_by_name.values()),
+        "tape_records": demo_step_tape_records(run),
         "steps": len(reports),
         "columns": {
             "L_s": [r.reconstruction.hex() for r in reports],
@@ -121,9 +134,9 @@ def main() -> None:
                 f"{column} {'length changed' if value is None else f'{value:.3g}'}"
                 for column, value in drift.items()
             )
-            size = (old.get("parameter_scalars"), doc.get("parameter_scalars"))
-            if size[0] != size[1]:
-                cells += f"; parameter_scalars {size[0]} -> {size[1]}"
+            for key in ("parameter_scalars", "tape_records"):
+                if old.get(key) != doc.get(key):
+                    cells += f"; {key} {old.get(key)} -> {doc.get(key)}"
             print(f"{name}: largest relative drift from the committed file: {cells}")
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")
