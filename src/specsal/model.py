@@ -71,8 +71,9 @@ class ModelConfig:
 def tiny_model_config() -> ModelConfig:
     """Smallest model, used by gradient checks on its smallest cube, 8x8x8.
 
-    A single attention head keeps the per-head temperature live (two heads on
-    two grouped bands would give constant 1x1 softmaxes with zero gradient).
+    A single attention head keeps ``to_query`` and ``to_key`` live: two heads
+    on two grouped bands would be 1-channel heads, whose 1x1 softmaxes are
+    constant and pass them zero gradient.
     """
     return ModelConfig(
         encoder=EncoderConfig(bands=8, heads=1, blocks=1),

@@ -4,8 +4,8 @@ Weights draw from uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) with a caller-owned
 numpy Generator, so a model built twice from the same seed is bit-identical.
 Without a Generator (rng=None) weights start at zero, which skips the draws for
 a model whose parameters a checkpoint is about to overwrite.
-Biases and norm offsets start at zero, norm gains and learnable scales at one,
-each stored in the shape its op reads: conv biases and norm affines are (C,1,1).
+Biases and norm offsets start at zero and norm gains at one, each stored in the
+shape its op reads: conv biases and norm affines are (C,1,1).
 """
 
 from __future__ import annotations

@@ -56,15 +56,19 @@ UNCERTAIN = 2  # a labeling's channels: 0 background, 1 object, 2 uncertain
 class CrossResolutionFusion(Module):
     """One full fusion stage: every branch sums contributions from all four.
 
-    Each (target, source) pair gets its own 1x1 conv + norm; sources are then
-    resized to the target resolution, summed, and rectified.
+    As in HRNet's exchange unit, a branch's own features are added as they
+    are. Every other (source, target) pair gets its own 1x1 conv + norm: a
+    finer source is averaged down to the target first and mapped there, a
+    coarser one is mapped at its own resolution and then upsampled, so each
+    map runs at the coarser of the two sizes. The sum is rectified.
     """
 
     def __init__(self, rng):
         w = BRANCH_WIDTHS
-        # flat [target * 4 + source] so the module walker sees every child
+        # flat [target * 4 + source], None on the diagonal, so the module walker
+        # skips the identities and every map keeps its index in its name
         self.maps = [
-            ConvNorm(rng, w[source], w[target], 1)
+            None if source == target else ConvNorm(rng, w[source], w[target], 1)
             for target in range(4)
             for source in range(4)
         ]
@@ -73,10 +77,13 @@ class CrossResolutionFusion(Module):
         fused = []
         for target in range(4):
             _, h, w = feats[target].shape
-            total = None
+            total = feats[target]
             for source in range(4):
-                y = resize_to(self.maps[target * 4 + source](feats[source]), h, w)
-                total = y if total is None else T.add(total, y)
+                conv_norm = self.maps[target * 4 + source]
+                if source < target:  # finer: average down, then map
+                    total = T.add(total, conv_norm(resize_to(feats[source], h, w)))
+                elif source > target:  # coarser: map, then upsample
+                    total = T.add(total, resize_to(conv_norm(feats[source]), h, w))
             fused.append(T.relu(total))
         return fused
 

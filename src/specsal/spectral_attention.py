@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .exceptions import ConfigError, ShapeError
 from .nn import ChannelConv1d, Conv2d, Linear, Module
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 # Adjacent bands averaged into one before the encoder (a fixed reduction).
 BAND_GROUP = 4
@@ -49,22 +49,23 @@ def eca_kernel_size(channels: int) -> int:
     return max(1, nearest)
 
 
-def spectral_head(q, k, v, scale) -> Tensor:
+def spectral_head(q, k, v) -> Tensor:
     """One attention head over the channel axis of token matrices.
 
-    q, k, v are (tokens, d); the affinity k^T q is (d, d) and is normalized
+    q, k, v are (tokens, d); the affinity k^T q is (d, d) and its softmax runs
     column-wise, so every output channel is a convex mix of value channels.
-    ``scale`` is the head's learnable temperature.
+    The affinity is not rescaled: the scale of q sets the softmax's sharpness.
     """
     affinity = T.matmul(T.transpose2d(k), q)
-    weights = T.softmax(T.mul(scale, affinity), axis=0)
-    return T.matmul(v, weights)
+    return T.matmul(v, T.softmax(affinity, axis=0))
 
 
 class SpectralSelfAttention(Module):
     """Multi-head channel attention plus a depthwise local mixing branch.
 
-    The q/k/v/out maps are bias-free channel mixes. Because attention runs
+    The q/k/v/out maps are bias-free channel mixes, and a head's temperature
+    is the scale of its ``to_query`` columns: k^T q is not normalized, so a
+    per-head factor would be exactly a scale on them. Because attention runs
     over channels, positional structure comes only from the local branch: two
     depthwise 3x3 convolutions over the value map with a GELU between.
     """
@@ -77,7 +78,6 @@ class SpectralSelfAttention(Module):
         self.to_key = Linear(rng, channels, channels, bias=False)
         self.to_value = Linear(rng, channels, channels, bias=False)
         self.to_out = Linear(rng, channels, channels, bias=False)
-        self.head_scales = Parameter(np.ones(heads))
         self.local_mix_a = Conv2d(rng, channels, channels, 3, depthwise=True)
         self.local_mix_b = Conv2d(rng, channels, channels, 3, depthwise=True)
 
@@ -89,16 +89,10 @@ class SpectralSelfAttention(Module):
         v = self.to_value(tokens)
 
         span = channels // self.heads
-        mixed = []
-        for j in range(self.heads):
-            mixed.append(
-                spectral_head(
-                    T.narrow(q, 1, j * span, span),
-                    T.narrow(k, 1, j * span, span),
-                    T.narrow(v, 1, j * span, span),
-                    T.narrow(self.head_scales, 0, j, 1),
-                )
-            )
+        mixed = [
+            spectral_head(*(T.narrow(t, 1, j * span, span) for t in (q, k, v)))
+            for j in range(self.heads)
+        ]
         attended = self.to_out(T.concat(mixed, 1))
 
         value_map = T.reshape(T.transpose2d(v), (channels, height, width))
@@ -110,27 +104,21 @@ class SpectralSelfAttention(Module):
 
 
 class AdaptiveSpectralGate(Module):
-    """Sigmoid channel gate from blended global average and max pooling.
+    """Sigmoid channel gate from global average and max pooling.
 
-    The pooled descriptor is 0.5*(avg+max) plus learnable multiples of each,
-    run through a short 1-d conv along the channel axis (window width from
-    ``eca_kernel_size``), so neighbouring bands inform each other's gates.
+    As in CBAM's channel attention, both pooled descriptors go through one
+    shared map and are summed; the map here is a short linear 1-d conv along
+    the channel axis (window width from ``eca_kernel_size``), so it runs once
+    on their sum, its weights carry the overall scale, and neighbouring bands
+    inform each other's gates.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int):
-        self.avg_gain = Parameter(np.ones((1, 1, 1)))
-        self.max_gain = Parameter(np.ones((1, 1, 1)))
         self.mix = ChannelConv1d(rng, eca_kernel_size(channels))
 
     def __call__(self, x) -> Tensor:
-        avg = T.pool_global(x, "avg")
-        peak = T.pool_global(x, "max")
-        pooled = T.add(
-            T.mul(0.5, T.add(avg, peak)),
-            T.add(T.mul(self.avg_gain, avg), T.mul(self.max_gain, peak)),
-        )
-        gate = T.sigmoid(self.mix(pooled))
-        return T.mul(x, gate)
+        pooled = T.add(T.pool_global(x, "avg"), T.pool_global(x, "max"))
+        return T.mul(x, T.sigmoid(self.mix(pooled)))
 
 
 class SpectralAttentionBlock(Module):

@@ -233,10 +233,6 @@ def parameter_group(name: str) -> str:
     """Bucket a dotted parameter path for the gradient audit."""
     parts = name.split(".")
     leaf = parts[-1]
-    if leaf == "head_scales":
-        return "attention_scales"
-    if leaf in ("avg_gain", "max_gain"):
-        return "pool_gains"
     if len(parts) >= 2 and parts[-2] == "norm":
         return "norm_affine"
     if leaf == "bias":

@@ -530,6 +530,27 @@ def test_infer_checkpoint_with_a_flat_norm_gain_exits_two(tmp_path, workspace, c
     assert not (tmp_path / "old.pgm").exists()
 
 
+@pytest.mark.parametrize("name, shape", [("backbone.fusion.maps.0.conv.weight", (8, 8, 1, 1)),
+                                         ("encoder.blocks.0.attention.head_scales", (1,))])
+def test_infer_checkpoint_with_a_deleted_parameter_exits_two(name, shape, tmp_path, workspace,
+                                                             capsys):
+    # checkpoints written before the backbone exchange passed same-resolution
+    # branches through, and before the encoder dropped its attention and gate
+    # scalars, hold parameters the model no longer has
+    state = load_checkpoint(workspace / "model.ckpt")
+    state[name] = np.ones(shape)
+    save_checkpoint(state.items(), tmp_path / "old.ckpt")
+    (tmp_path / "old.ckpt.json").write_bytes((workspace / "model.ckpt.json").read_bytes())
+    assert main([
+        "infer", "--cube", str(workspace / "scene0.hsv2"),
+        "--checkpoint", str(tmp_path / "old.ckpt"), "--out", str(tmp_path / "old.pgm"),
+        "--float-out", str(tmp_path / "old.f32"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
+    assert not (tmp_path / "old.pgm").exists() and not (tmp_path / "old.f32").exists()
+
+
 def test_infer_checkpoint_with_a_shape_numpy_cannot_hold_exits_two(tmp_path, workspace, capsys):
     # no values, but numpy refuses a view whose nonzero dimensions overflow its byte count
     path = tmp_path / "huge.ckpt"
@@ -572,19 +593,21 @@ def test_gradcheck_exits_zero_and_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     doc = json.loads(report_path.read_text())
     assert doc["tolerance"] == 1e-4
-    assert len(doc["groups"]) == 7
+    assert len(doc["groups"]) == 5
     for name, group in doc["groups"].items():
         assert name in out
         assert group["max_rel_error"] < 1e-4
 
 
-@pytest.mark.parametrize("seed", [2, 17, 22])
+@pytest.mark.parametrize("seed", [3, 5, 66])
 def test_gradcheck_seed_with_high_curvature_coordinate_passes(seed, capsys):
-    # seed 2 samples encoder.embed.bias[0], where the plain central difference
-    # misses the tape gradient by 1.6e-4 from truncation error alone; seed 17
-    # samples local_mix_b.bias[0], about 1e-6 from a relu kink that probes at
-    # h and h/2 both straddle, and seeds 17 and 22 sample to_out.weight[1, 0]
-    # next to a kink in the 4-scalar attention_output group
+    # each seed samples scalars within 1e-5 of a relu kink, where the plain
+    # central difference at h = 1e-5 misses the tape gradient by more than the
+    # 1e-4 tolerance (5e-4 to 2.3e-2):
+    # seed 3 samples backbone.fusion.maps.14.norm.bias[31], whose probes
+    # straddle a kink down to h = 1e-8; seed 5 samples encoder.embed.bias[0]
+    # and local_mix_b.bias[0], both scored at h = 1e-6; seed 66 samples
+    # to_out.weight[0, 1] next to a kink in the 4-scalar attention_output group
     assert main(["gradcheck", "--seed", str(seed)]) == 0
 
 
