@@ -4,7 +4,9 @@ Each measure compares a pixel's spectrum against the cube's global mean
 spectrum: angular distance, Euclidean distance, or Euclidean distance between
 first-difference (gradient) spectra. The published maps are the raw measures
 min-max normalized to [0, 1] and smoothed with a 3x3 box filter; the ``_raw``
-variants expose the pre-normalization values for scale-behavior tests.
+variants expose the pre-normalization values for scale-behavior tests. The
+measures run at the cube's precision, float32 for a cube read from a file; a
+norm that overflows it raises NumericError rather than yield a wrong map.
 
 ``luminance_contrast_map`` is the deliberately spectrally-blind control: it
 collapses the cube to a pseudo-color rendering first, so scenes whose
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cube import HsiCube, pseudo_color
-from .exceptions import ShapeError
+from .exceptions import NumericError, ShapeError
 
 # Rec. 601 luma weights for the pseudo-color collapse.
 _LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -28,10 +30,14 @@ def _spectra(cube: HsiCube) -> np.ndarray:
 
 
 def normalize_map(values: np.ndarray) -> np.ndarray:
-    """Min-max rescale to [0, 1]; a constant map collapses to all zeros."""
+    """Min-max rescale to [0, 1]; a constant map collapses to all zeros. A map with a
+    NaN or an infinity (a float32 cube whose squares overflow) has no such rescale
+    and raises NumericError."""
     values = np.asarray(values, dtype=np.float64)
-    lo = values.min()
+    lo = values.min()  # min and max propagate NaN
     hi = values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError("raw saliency map contains non-finite values")
     if hi == lo:
         return np.zeros_like(values)
     return (values - lo) / (hi - lo)
@@ -59,6 +65,8 @@ def sad_map_raw(cube: HsiCube) -> np.ndarray:
     spectra = _spectra(cube)
     mean = spectra.mean(axis=0)
     norms = np.linalg.norm(spectra, axis=1)
+    if not np.isfinite(norms).all():  # an overflowed norm would pass for a right angle
+        raise NumericError("spectral norms overflow the cube's precision")
     mean_norm = np.linalg.norm(mean)
     angles = np.zeros(len(spectra))
     defined = (norms > 0) & (mean_norm > 0)

@@ -114,7 +114,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    saliency = BASELINES[args.method](read_cube(args.cube))
+    cube = read_cube(args.cube)
+    with np.errstate(over="ignore", invalid="ignore"):  # float32 overflow: exit 3 below
+        saliency = BASELINES[args.method](cube)
     write_pgm(_saliency_to_pgm(saliency), args.out)
     if args.float_out is not None:
         write_float_map(saliency, args.float_out)
@@ -128,7 +130,8 @@ def _cmd_infer(args) -> int:
     config.check_cube(cube.data.shape)  # before any model is built
     model = SaliencyModel(None, config)  # every weight comes from the checkpoint
     apply_state(model, load_checkpoint(args.checkpoint))
-    saliency = model(cube.data).saliency_map()
+    with np.errstate(over="ignore", invalid="ignore"):  # float32 overflow: exit 3 below
+        saliency = model(cube.data).saliency_map()
     write_pgm(_saliency_to_pgm(saliency), args.out)
     if args.float_out is not None:
         write_float_map(saliency, args.float_out)

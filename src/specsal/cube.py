@@ -23,6 +23,7 @@ from .exceptions import (
     DataError,
 )
 from .imageio import write_bytes_atomic
+from .tensor import as_floating
 
 CUBE_MAGIC = b"HSV2"
 _HEADER = struct.Struct("<4sIIIdd")
@@ -34,8 +35,10 @@ REFLECTANCE_CEILING = 1.5
 class HsiCube:
     """Reflectance cube with its wavelength grid.
 
-    data is (bands, height, width) float64; values stay exactly representable
-    in float32 whenever the cube came from (or is headed to) the file format.
+    data is (bands, height, width) under the tensor dtype rule: a float32 array
+    stays float32, as ``read_cube`` returns the file's values, and anything
+    else becomes float64. Values stay exactly representable in float32
+    whenever the cube came from (or is headed to) the file format.
     """
 
     data: np.ndarray = field(repr=False)
@@ -43,7 +46,7 @@ class HsiCube:
     wavelength_step_nm: float
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = as_floating(self.data)
         if self.data.ndim != 3 or 0 in self.data.shape:
             raise DataError(f"cube data must be non-empty (bands,H,W), got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
@@ -102,10 +105,8 @@ def read_cube(path) -> HsiCube:
         raise CubeDimensionError(
             f"{path}: payload has {len(body) - expected} bytes beyond the declared {c}x{h}x{w}"
         )
-    with np.errstate(invalid="ignore"):  # a signaling NaN widens to NaN, which HsiCube rejects
-        data = np.frombuffer(body, dtype="<f4").reshape(c, h, w).astype(np.float64)
-    try:
-        return HsiCube(data, start, step)
+    try:  # the file's float32 values as they are: a read-only view of the payload
+        return HsiCube(np.frombuffer(body, dtype="<f4").reshape(c, h, w), start, step)
     except DataError as exc:
         raise CubeDimensionError(f"{path}: {exc}") from exc
 
@@ -126,11 +127,13 @@ def calibrate(raw: HsiCube, dark: HsiCube, white: HsiCube) -> HsiCube:
             f"frame shapes differ: raw {raw.data.shape}, dark {dark.data.shape}, "
             f"white {white.data.shape}"
         )
-    denom = white.data - dark.data
+    # in float64, so that each reflectance is rounded to float32 once
+    r, d, w = (frame.data.astype(np.float64) for frame in (raw, dark, white))
+    denom = w - d
     if (denom <= 0).any():
         bad = int((denom <= 0).sum())
         raise CalibrationError(f"white <= dark at {bad} samples; calibration undefined")
-    reflectance = np.clip((raw.data - dark.data) / denom, 0.0, REFLECTANCE_CEILING)
+    reflectance = np.clip((r - d) / denom, 0.0, REFLECTANCE_CEILING)
     return HsiCube(quantize_f32(reflectance), raw.wavelength_start_nm, raw.wavelength_step_nm)
 
 

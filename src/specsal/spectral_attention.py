@@ -193,7 +193,7 @@ class SpectralEncoder(Module):
         self.restore = Conv2d(rng, width, config.bands, 3)
 
     def __call__(self, cube_values):
-        cube_values = np.asarray(cube_values, dtype=float)
+        cube_values = T.as_floating(cube_values)  # a float32 cube runs the model at float32
         if cube_values.ndim != 3 or cube_values.shape[0] != self.config.bands:
             raise ShapeError(
                 f"encoder expects a ({self.config.bands}, H, W) cube, got {cube_values.shape}"

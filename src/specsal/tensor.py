@@ -1,14 +1,17 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Tensors wrap numpy arrays (row-major, 64-bit). A Parameter is a Tensor with a
-gradient array; the values and gradients of the Parameters of one Store are
-slices of two flat arrays. Differentiable ops are module-level functions, and
-each passes its own name to _kept, which looks each input's node up once. Only
-when the active Tape keeps the op (an input needs a gradient) does the op build
-its backward closure, keeping only the shapes and arrays backward reads, and
-call Tape.record. Tape.backward pops each record once, in reverse execution
-order. Block sums (downsample_avg, upsample_nearest's backward) add strided
-slices in numpy's own order, so they equal its reshape reduce bit for bit.
+Tensors wrap row-major numpy arrays under one dtype rule, as_floating: a float32
+array stays float32, and anything else becomes float64. An op's operands meet at
+the lower precision present (_meet), so a float32 cube gives float32 maps
+throughout, and a float64 one, as training feeds, float64 maps. A Parameter is a
+Tensor with a gradient array; the values and gradients of the Parameters of one
+Store are slices of two flat float64 arrays. Differentiable ops are module-level
+functions, and each passes its own name to _kept, which looks each input's node
+up once. Only when the active Tape keeps the op (an input needs a gradient) does
+the op build its backward closure, keeping only the shapes and arrays backward
+reads, and call Tape.record. Tape.backward pops each record once, in reverse
+execution order. Block sums (downsample_avg, upsample_nearest's backward) add
+strided slices in numpy's own order, so they equal its reshape reduce bit for bit.
 
 The observer (_observe) is the one way to look at a forward pass: with no tape
 active, it is handed the name, output and inputs of every op.
@@ -36,13 +39,27 @@ class _State(threading.local):
 
 _state = _State()
 
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def as_floating(data) -> np.ndarray:
+    """The one dtype rule: a float32 array stays float32, as it is, and anything else
+    becomes float64."""
+    data = np.asarray(data)
+    dtype = data.dtype
+    if dtype is _FLOAT64 or dtype is _FLOAT32:  # identity first: op outputs, cheaply
+        return data
+    return data if dtype == _FLOAT32 else data.astype(np.float64)
+
+
 class Tensor:
-    """A dense float64 array; ``node`` is set when a tape keeps the op that made it."""
+    """A dense float32 or float64 array (``as_floating``); ``node`` is set when a
+    tape keeps the op that made it."""
 
     __slots__ = ("data", "node")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_floating(data)
         self.node = None
 
     @property
@@ -252,6 +269,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _meet(*arrays):
+    """An op's operand arrays at the lower precision present: a float64 operand that
+    meets a float32 map (a Parameter, whose store stays the float64 master copy, or
+    a 0-d constant) is cast to float32 here, since numpy's promotion of 0-d arrays
+    changed with NEP 50."""
+    first = arrays[0].dtype
+    for a in arrays:
+        if a.dtype is not first:
+            return [a.astype(np.float32, copy=False) for a in arrays]
+    return arrays
+
+
 def _kept(name: str, out: Tensor, inputs):
     """Each input's node, looked up once, if the active tape keeps this op, else None."""
     tape = _state.tape
@@ -286,7 +315,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
+    ad, bd = _meet(a.data, b.data)
+    out = Tensor(ad + bd)
     if nodes := _kept("add", out, (a, b)):
         (na, nb), sa, sb = nodes, a.shape, b.shape
         _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g, sa),
@@ -296,7 +326,8 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
+    ad, bd = _meet(a.data, b.data)
+    out = Tensor(ad - bd)
     if nodes := _kept("sub", out, (a, b)):
         (na, nb), sa, sb = nodes, a.shape, b.shape
         _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g, sa),
@@ -306,10 +337,11 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
+    ad, bd = _meet(a.data, b.data)
+    out = Tensor(ad * bd)
     if nodes := _kept("mul", out, (a, b)):
         (na, nb), sa, sb = nodes, a.shape, b.shape
-        ad, bd = None if nb is None else a.data, None if na is None else b.data  # each reads the other
+        ad, bd = None if nb is None else ad, None if na is None else bd  # each reads the other
         _state.tape.record(out, nodes, lambda g: (None if na is None else _unbroadcast(g * bd, sa),
                                                   None if nb is None else _unbroadcast(g * ad, sb)))
     return out
@@ -317,10 +349,11 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data / b.data)
+    ad, bd = _meet(a.data, b.data)
+    out = Tensor(ad / bd)
     if nodes := _kept("div", out, (a, b)):
         (na, nb), sa, sb = nodes, a.shape, b.shape
-        ad, bd = None if nb is None else a.data, b.data
+        ad = None if nb is None else ad
         _state.tape.record(out, nodes, lambda g: (
             None if na is None else _unbroadcast(g / bd, sa),
             None if nb is None else _unbroadcast(-g * ad / (bd * bd), sb)))
@@ -412,7 +445,8 @@ def _horner(x: np.ndarray, coefs) -> np.ndarray:
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """Elementwise erf of a float64 array, within 2 ulp of math.erf.
+    """Elementwise erf at the array's precision: within 2 ulp of math.erf in float64,
+    within 3 ulp of it rounded to float32 in float32.
 
     The small rational runs on every entry, with x clipped to [-1, 1] so that
     it stays finite where |x| > 1; only those entries, if any, are then recomputed.
@@ -544,7 +578,7 @@ def concat(parts, axis: int) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat needs at least one tensor")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    out = Tensor(np.concatenate(_meet(*(p.data for p in parts)), axis=axis))
     if nodes := _kept("concat", out, tuple(parts)):
         ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
         _state.tape.record(out, nodes, lambda g: tuple(np.split(g, ends, axis=axis)))
@@ -592,10 +626,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    ad, bd = _meet(a.data, b.data)
+    out = Tensor(ad @ bd)
     if nodes := _kept("matmul", out, (a, b)):
         na, nb = nodes
-        ad, bd = None if nb is None else a.data, None if na is None else b.data
+        ad, bd = None if nb is None else ad, None if na is None else bd
         _state.tape.record(out, nodes, lambda g: (None if na is None else g @ bd.T,
                                                   None if nb is None else ad.T @ g))
     return out
@@ -639,7 +674,8 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
         raise ShapeError(f"conv2d output empty for input {x.shape}, kernel {kh}x{kw}")
     ph, pw = kh // 2, kw // 2
     ho, wo = (h - 1) // s + 1, (w - 1) // s + 1
-    km = kernel.data.reshape(groups, c_out // groups, -1)  # rows (c, u, v), like im2col's
+    xd, kd = _meet(x.data, kernel.data)
+    km = kd.reshape(groups, c_out // groups, -1)  # rows (c, u, v), like im2col's
 
     def im2col(a, transposed):
         # (groups, rows, pixels) of x placed densely and sampled at stride s, or g spread at s
@@ -654,10 +690,10 @@ def conv2d(x, kernel, stride: int = 1, *, depthwise: bool = False) -> Tensor:
                 out[:, u * kw + v] = padded[:, u : u + step * rows : step, v : v + step * cols : step]
         return out.reshape(groups, -1, rows * cols)
 
-    out = Tensor((km @ im2col(x.data, False)).reshape(c_out, ho, wo))
+    out = Tensor((km @ im2col(xd, False)).reshape(c_out, ho, wo))
     if nodes := _kept("conv2d", out, (x, kernel)):
         (nx, nk), sx, sk = nodes, x.shape, kernel.shape
-        xd, kd = None if nk is None else x.data, None if nx is None else kernel.data
+        xd, kd = None if nk is None else xd, None if nx is None else kd
 
         def back(g):
             gm = g.reshape(groups, c_out // groups, ho * wo)
@@ -687,10 +723,9 @@ def channel_conv1d(x, kernel) -> Tensor:
     c = x.shape[0]
     k = kernel.shape[0]
     pad = k // 2
-    xv = x.data.reshape(c)
-    xp = np.zeros(c + 2 * pad, dtype=xv.dtype)
-    xp[pad : pad + c] = xv
-    kd = kernel.data
+    xd, kd = _meet(x.data, kernel.data)
+    xp = np.zeros(c + 2 * pad, dtype=xd.dtype)
+    xp[pad : pad + c] = xd.reshape(c)
     out = Tensor(np.correlate(xp, kd, mode="valid").reshape(c, 1, 1))
     if nodes := _kept("channel_conv1d", out, (x, kernel)):
         (nx, nk), sx, sk = nodes, x.shape, kernel.shape

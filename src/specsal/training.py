@@ -127,7 +127,9 @@ def backprop(named_parameters, build, context: str):
 
 
 def train_step(model, cube_values, mask, optimizer):
-    """One forward/backward/update on a single (cube, mask) pair."""
+    """One forward/backward/update on a single (cube, mask) pair, at float64 whatever
+    the cube's dtype: a float32 cube is widened once, exactly."""
+    cube_values = np.asarray(cube_values, dtype=np.float64)
     report = None
 
     def build():

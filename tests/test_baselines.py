@@ -16,7 +16,7 @@ from specsal.baselines import (
     sg_map_raw,
 )
 from specsal.cube import HsiCube
-from specsal.exceptions import ShapeError
+from specsal.exceptions import NumericError, ShapeError
 
 
 def _cube(data):
@@ -125,3 +125,21 @@ def test_luminance_control_is_bounded_and_spectrally_blind():
     far_band = HsiCube(edited, 400.0, 40.0)
     np.testing.assert_array_equal(luminance_contrast_map(far_band), control)
     assert not np.allclose(sed_map_raw(far_band), sed_map_raw(cube))
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+def test_float32_cube_whose_squares_overflow_raises_instead_of_a_wrong_map(method):
+    # float32 squares overflow from about 1.8e19: sad would score such a pixel a right
+    # angle, and sed and sg an infinity that min-max scaling turns into NaN or zeros
+    rng = np.random.default_rng(0)
+    data = np.where(rng.random((6, 8, 8)) > 0.9, 3e19, 0.5).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        BASELINES[method](HsiCube(data, 400.0, 10.0))
+
+
+def test_normalize_map_refuses_a_non_finite_map():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericError):
+            normalize_map(np.array([[0.0, bad], [1.0, 2.0]]))
+    with pytest.raises(NumericError):  # all infinite, not the constant map's zeros
+        normalize_map(np.full((2, 2), np.inf))

@@ -633,6 +633,28 @@ def test_gradcheck_exits_three_on_a_non_finite_finite_difference(monkeypatch, tm
     assert report["groups"]["conv_kernels"]["max_rel_error"] is None
 
 
+@pytest.mark.parametrize("values", ["constant", "random"])
+@pytest.mark.parametrize("command", ["infer", "sad", "sed", "sg"])
+def test_cube_near_the_top_of_float32_exits_zero_or_three_cleanly(command, values, tmp_path,
+                                                                  workspace, capsys):
+    # the model and the baselines compute at the cube file's float32, where products of
+    # values like 1e30 overflow; pytest turns a RuntimeWarning into an error
+    shape = (8, 32, 32)
+    data = (np.full(shape, 1e30) if values == "constant"
+            else np.random.default_rng(0).uniform(0.0, 1e30, shape))
+    write_cube(HsiCube(data, 400.0, 10.0), tmp_path / "huge.hsv2")
+    out, float_out = tmp_path / "map.pgm", tmp_path / "map.f32"
+    source = (["infer", "--checkpoint", str(workspace / "model.ckpt")] if command == "infer"
+              else ["baseline", "--method", command])
+    code = main(source + ["--cube", str(tmp_path / "huge.hsv2"), "--out", str(out),
+                          "--float-out", str(float_out)])
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not float_out.exists()
+
+
 def test_infer_creates_missing_output_directory(tmp_path, workspace, capsys):
     out = tmp_path / "pred" / "scene1.pgm"
     assert main([

@@ -893,8 +893,10 @@ def test_op_table_lists_every_public_op():
     public = {name for name, fn in vars(T).items()
               if callable(fn) and getattr(fn, "__module__", None) == T.__name__
               and not name.startswith("_") and not isinstance(fn, type)}
-    # channel_norm is composed of the ops below; the other two are the observer's users
-    assert public - {"channel_norm", "first_non_finite", "branch_pattern"} == set(OP_CALLS)
+    # channel_norm is composed of the ops below, the next two are the observer's users,
+    # and as_floating is the dtype rule, not an op
+    assert public - {"channel_norm", "first_non_finite", "branch_pattern",
+                     "as_floating"} == set(OP_CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CALLS))
